@@ -25,6 +25,7 @@
 //
 // Exit codes: 0 success, 1 runtime failure (socket, journal, replay
 // divergence), 2 usage error.
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -79,7 +80,7 @@ constexpr char kUsage[] =
     "  --cores N             topology: cores per socket (default 8)\n"
     "  --smt N               topology: SMT contexts per core (default 2)\n"
     "  --shards N            sharing-table shards (default 8)\n"
-    "  --entries N           total sharing-table entries (default 4096)\n"
+    "  --entries N           total sharing-table entries (default 256000)\n"
     "  --interval N          arbitrate every N events (default 4096)\n"
     "  --mapper NAME         arbiter mapping strategy (default blossom)\n"
     "\n"
@@ -104,8 +105,11 @@ constexpr char kUsage[] =
     "  SPCD_CHAOS_NET_TEAR/_DROP/_DUP/_STALL[_MS]/_SEED  deterministic\n"
     "                        network fault injection on --drive clients\n";
 
-volatile std::sig_atomic_t g_signal = 0;
-void on_signal(int) { g_signal = 1; }
+// Set by the handler, read by the supervisor's stop poll on another
+// thread: a lock-free atomic is both async-signal-safe and race-free.
+std::atomic<int> g_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
+void on_signal(int) { g_signal.store(1, std::memory_order_relaxed); }
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -172,16 +176,28 @@ bool emit_outputs(const spcd::svc::SpcdService& service,
   return ok;
 }
 
+/// False (with a message) when the service's journal has failed: it then
+/// refuses every commit, so the daemon's session is lost.
+bool journal_healthy(const spcd::svc::SpcdService& service) {
+  if (!service.journal_failed()) return true;
+  std::fprintf(stderr, "spcdd: journal %s failed; commits were refused\n",
+               service.config().journal_path.c_str());
+  return false;
+}
+
 int run_serve(const Options& opt) {
   using namespace spcd;
   svc::SpcdService service(opt.service);
+  if (!journal_healthy(service)) return 1;
   obs::TraceConfig trace_cfg;
   trace_cfg.enabled = !opt.trace_out.empty();
   obs::Session trace(trace_cfg);
   if (trace_cfg.enabled) service.set_trace_session(&trace);
 
   svc::ServerConfig server_cfg;
-  server_cfg.supervisor.stop_poll = [] { return g_signal != 0; };
+  server_cfg.supervisor.stop_poll = [] {
+    return g_signal.load(std::memory_order_relaxed) != 0;
+  };
   server_cfg.max_pending_commits = opt.max_pending;
   svc::ServiceServer server(service, server_cfg);
 
@@ -228,9 +244,9 @@ int run_serve(const Options& opt) {
         static_cast<unsigned long long>(stats.retries_sent),
         static_cast<unsigned long long>(stats.duplicates_suppressed));
   }
-  return emit_outputs(service, opt, trace_cfg.enabled ? &trace : nullptr)
-             ? 0
-             : 1;
+  const bool emitted =
+      emit_outputs(service, opt, trace_cfg.enabled ? &trace : nullptr);
+  return emitted && journal_healthy(service) ? 0 : 1;
 }
 
 void print_drive_summary(const spcd::svc::DriverStats& stats,
@@ -283,6 +299,7 @@ int run_drive(const Options& opt) {
 
   // Self-contained: service, server, and tenants in one process.
   svc::SpcdService service(opt.service);
+  if (!journal_healthy(service)) return 1;
   obs::TraceConfig trace_cfg;
   trace_cfg.enabled = !opt.trace_out.empty();
   obs::Session trace(trace_cfg);

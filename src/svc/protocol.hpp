@@ -24,7 +24,7 @@
 //                 new base_tid)
 //   kHeartbeat    u64 last_acked (highest client_seq the client has seen
 //                 acked; keeps a quiet tenant alive)
-//   kHeartbeatAck u64 commit_seq (server's current journal commit seq)
+//   kHeartbeatAck u64 commit_seq (server's durable journal commit seq)
 //   kResume       u32 tenant_id, u16 name_len, name bytes (reconnecting
 //                 client reattaches to its live tenant; replied with
 //                 kWelcome on success, kError if unknown/reaped)

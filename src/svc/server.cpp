@@ -161,8 +161,8 @@ void ServiceServer::session_loop(Transport& transport,
           transport.send(encode_error(r.error));
           break;
         }
-        // The ack is sent only after the service journaled the batch:
-        // an acked record survives SIGKILL.
+        // ingest returns only once the batch's record is durable (the
+        // group fsync covering it ran): an acked batch survives SIGKILL.
         const std::string reply =
             encode_batch_ack(msg->client_seq, r.seq, r.comm_events);
         service_.dedup_store(tenant_id, msg->client_seq, reply);
@@ -200,13 +200,15 @@ void ServiceServer::session_loop(Transport& transport,
           transport.send(encode_error("hello first"));
           break;
         }
-        std::uint64_t commit_seq = 0;
-        if (!service_.heartbeat_seen(tenant_id, now_ms(), &commit_seq)) {
-          transport.send(encode_error("tenant departed"));
+        std::uint64_t durable_seq = 0;
+        if (!service_.heartbeat_seen(tenant_id, now_ms(), &durable_seq)) {
+          transport.send(encode_error(service_.journal_failed()
+                                          ? "journal failed"
+                                          : "tenant departed"));
           break;
         }
         heartbeats_.fetch_add(1, std::memory_order_relaxed);
-        transport.send(encode_heartbeat_ack(commit_seq));
+        transport.send(encode_heartbeat_ack(durable_seq));
         break;
       }
       case MessageType::kStats:

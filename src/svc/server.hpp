@@ -10,8 +10,8 @@
 //
 // The server also runs the service's liveness sweep (accept_loop calls
 // check_liveness each poll) and enforces admission control: when more
-// than max_pending_commits batches are queued on the commit lock, new
-// batches get a kRetry reply instead of piling onto the journal — the
+// than max_pending_commits batches are in flight (on the commit lock or
+// awaiting their group fsync), new batches get a kRetry reply — the
 // request is NOT committed, so replay determinism is untouched. The
 // health counters in ServerStats (heartbeats, retries, suppressed
 // duplicates, resumed sessions) are transport-side observations; they
@@ -38,8 +38,9 @@ struct ServerConfig {
   util::SupervisorConfig supervisor = util::SupervisorConfig::from_env();
   /// Session recv poll period: the latency of noticing a stop request.
   int recv_timeout_ms = 50;
-  /// Backpressure: batches/re-registers queued on the commit lock beyond
-  /// this get a kRetry reply instead of committing (0 = unlimited).
+  /// Backpressure: batches/re-registers in flight (commit lock or group
+  /// fsync) beyond this get a kRetry reply instead of committing
+  /// (0 = unlimited).
   std::uint32_t max_pending_commits = 64;
   /// The delay a kRetry reply asks the client to back off for.
   std::uint32_t retry_delay_ms = 5;

@@ -1,11 +1,14 @@
 #include "svc/service.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "util/log.hpp"
 
 namespace spcd::svc {
 
@@ -13,6 +16,7 @@ namespace {
 
 constexpr std::size_t kSnapMatrixChunk = 256;  ///< cells per snap-mat line
 constexpr std::size_t kSnapPrevChunk = 512;    ///< pairs per snap-prev line
+constexpr char kJournalFailed[] = "journal failed; commits refused";
 
 ShardedTableConfig sharded_config(const ServiceConfig& config) {
   ShardedTableConfig cfg;
@@ -25,6 +29,17 @@ std::string generation_path(const std::string& base, std::uint32_t gen) {
   return base + ".g" + std::to_string(gen);
 }
 
+/// A committed result, or the fail-stop error when its commit never
+/// became durable.
+template <typename Result>
+Result once_durable(Result result, bool durable) {
+  if (!durable) {
+    result.ok = false;
+    result.error = kJournalFailed;
+  }
+  return result;
+}
+
 }  // namespace
 
 SpcdService::SpcdService(const ServiceConfig& config)
@@ -35,17 +50,52 @@ SpcdService::SpcdService(const ServiceConfig& config)
   if (!config_.journal_path.empty()) {
     journal_ =
         util::Journal::create(config_.journal_path, service_meta(config_));
+    failed_ = !journal_.ok();
   }
 }
 
 bool SpcdService::journal_append_locked(const std::string& record) {
-  ++commit_seq_;
-  if (!journal_.is_open()) return true;
-  return journal_.append(record);
+  const std::uint64_t seq = ++commit_seq_;
+  if (config_.journal_path.empty()) {
+    durable_seq_.store(seq, std::memory_order_release);
+    return true;
+  }
+  if (!journal_.write(record)) failed_ = true;
+  return !failed_;
 }
 
 void SpcdService::journal_raw_append_locked(const std::string& record) {
-  if (journal_.is_open()) journal_.append(record);
+  if (!journal_.write(record)) failed_ = true;
+}
+
+bool SpcdService::await_durable(std::uint64_t seq) {
+  if (durable_seq_.load(std::memory_order_acquire) >= seq) return true;
+  std::lock_guard<std::mutex> sync(sync_mu_);
+  // The leader this caller queued behind may have covered `seq` already.
+  if (durable_seq_.load(std::memory_order_acquire) >= seq) return true;
+  std::uint64_t target = 0;
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    target = commit_seq_;
+    if (!failed_) fd = journal_.dup_fd();
+  }
+  if (fd < 0) {
+    failed_ = true;
+    return false;
+  }
+  // One fsync makes every record written before it durable: this
+  // caller's, and those of every commit that arrived during the last one.
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  syncs_.fetch_add(1, std::memory_order_relaxed);
+  if (!synced) {
+    SPCD_LOG_WARN("spcdd: journal fsync failed; refusing further commits");
+    failed_ = true;
+    return false;
+  }
+  durable_seq_.store(target, std::memory_order_release);
+  return true;
 }
 
 RegisterResult SpcdService::register_tenant(const std::string& name,
@@ -59,23 +109,28 @@ RegisterResult SpcdService::register_tenant(const std::string& name,
     result.error = "thread count out of range";
     return result;
   }
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  const std::uint32_t id = registry_.add(name, num_threads);
-  const Tenant* t = registry_.find(id);
-  journal_append_locked(
-      encode_register(id, name, num_threads, t->base_tid));
-  if (trace_ != nullptr) {
-    obs::ScopedSession bind(trace_);
-    obs::trace_instant("svc", "register", total_events_, {"tenant", id},
-                       {"threads", num_threads});
-    obs::trace_counter("svc", "active_tenants", total_events_,
-                       registry_.participating_count());
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_) return once_durable(result, false);
+    const std::uint32_t id = registry_.add(name, num_threads);
+    const Tenant* t = registry_.find(id);
+    journal_append_locked(
+        encode_register(id, name, num_threads, t->base_tid));
+    if (trace_ != nullptr) {
+      obs::ScopedSession bind(trace_);
+      obs::trace_instant("svc", "register", total_events_, {"tenant", id},
+                         {"threads", num_threads});
+      obs::trace_counter("svc", "active_tenants", total_events_,
+                         registry_.participating_count());
+    }
+    result.ok = true;
+    result.tenant_id = id;
+    result.base_tid = t->base_tid;
+    seq = commit_seq_;
+    maybe_rotate_locked();
   }
-  result.ok = true;
-  result.tenant_id = id;
-  result.base_tid = t->base_tid;
-  maybe_rotate_locked();
-  return result;
+  return once_durable(result, await_durable(seq));
 }
 
 RegisterResult SpcdService::re_register(std::uint32_t tenant_id,
@@ -85,50 +140,62 @@ RegisterResult SpcdService::re_register(std::uint32_t tenant_id,
     result.error = "thread count out of range";
     return result;
   }
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  Tenant* t = registry_.find(tenant_id);
-  if (t == nullptr || !tenant_participates(t->state)) {
-    result.error = "unknown or departed tenant";
-    return result;
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_) return once_durable(result, false);
+    Tenant* t = registry_.find(tenant_id);
+    if (t == nullptr || !tenant_participates(t->state)) {
+      result.error = "unknown or departed tenant";
+      return result;
+    }
+    // A suspect that re-registers is clearly alive again; the transition
+    // is implied by the rereg record (replay's re_register does the same).
+    if (t->state == TenantState::kSuspect) {
+      registry_.mark_active(tenant_id);
+      ++lifecycle_.reactivations;
+    }
+    registry_.re_register(tenant_id, new_threads);
+    ++lifecycle_.reregisters;
+    journal_append_locked(
+        encode_reregister_record(tenant_id, new_threads, t->base_tid));
+    if (trace_ != nullptr) {
+      obs::ScopedSession bind(trace_);
+      obs::trace_instant("svc", "reregister", total_events_,
+                         {"tenant", tenant_id}, {"threads", new_threads});
+    }
+    result.ok = true;
+    result.tenant_id = tenant_id;
+    result.base_tid = t->base_tid;
+    seq = commit_seq_;
+    maybe_rotate_locked();
   }
-  // A suspect that re-registers is clearly alive again; the transition
-  // is implied by the rereg record (replay's re_register does the same).
-  if (t->state == TenantState::kSuspect) {
-    registry_.mark_active(tenant_id);
-    ++lifecycle_.reactivations;
-  }
-  registry_.re_register(tenant_id, new_threads);
-  ++lifecycle_.reregisters;
-  journal_append_locked(
-      encode_reregister_record(tenant_id, new_threads, t->base_tid));
-  if (trace_ != nullptr) {
-    obs::ScopedSession bind(trace_);
-    obs::trace_instant("svc", "reregister", total_events_,
-                       {"tenant", tenant_id}, {"threads", new_threads});
-  }
-  result.ok = true;
-  result.tenant_id = tenant_id;
-  result.base_tid = t->base_tid;
-  maybe_rotate_locked();
-  return result;
+  return once_durable(result, await_durable(seq));
 }
 
 RegisterResult SpcdService::resume_tenant(std::uint32_t tenant_id,
                                           const std::string& name,
                                           std::uint64_t now_ms) {
   RegisterResult result;
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  Tenant* t = registry_.find(tenant_id);
-  if (t == nullptr || !tenant_participates(t->state) || t->name != name) {
-    result.error = "unknown, departed, or mismatched tenant";
-    return result;
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_) return once_durable(result, false);
+    Tenant* t = registry_.find(tenant_id);
+    if (t == nullptr || !tenant_participates(t->state) || t->name != name) {
+      result.error = "unknown, departed, or mismatched tenant";
+      return result;
+    }
+    t->last_seen_ms = now_ms;
+    if (t->state == TenantState::kSuspect) {
+      force_active_locked(tenant_id);
+      seq = commit_seq_;
+    }
+    result.ok = true;
+    result.tenant_id = tenant_id;
+    result.base_tid = t->base_tid;
   }
-  t->last_seen_ms = now_ms;
-  if (t->state == TenantState::kSuspect) force_active_locked(tenant_id);
-  result.ok = true;
-  result.tenant_id = tenant_id;
-  result.base_tid = t->base_tid;
-  return result;
+  return once_durable(result, await_durable(seq));
 }
 
 IngestResult SpcdService::ingest(std::uint32_t tenant_id,
@@ -138,21 +205,40 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
     result.error = "batch too large";
     return result;
   }
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_) return once_durable(result, false);
+    ingest_locked(tenant_id, events, &result);
+  }
+  if (!result.ok) return result;
+  return once_durable(result, await_durable(result.seq));
+}
+
+void SpcdService::ingest_locked(std::uint32_t tenant_id,
+                                const std::vector<FaultRecord>& events,
+                                IngestResult* result) {
   Tenant* tenant = registry_.find(tenant_id);
   if (tenant == nullptr) {
-    result.error = "unknown tenant";
-    return result;
+    result->error = "unknown tenant";
+    return;
   }
   if (!tenant_participates(tenant->state)) {
-    result.error = "tenant departed";
-    return result;
+    result->error = "tenant departed";
+    return;
   }
   for (const FaultRecord& e : events) {
     if (e.tid >= tenant->num_threads) {
-      result.error = "tid out of range";
-      return result;
+      result->error = "tid out of range";
+      return;
     }
+  }
+  // Write-ahead: the record is in the journal before any state changes.
+  // The caller waits for it to be durable before the ack, which carries
+  // the commit seq — an acked batch survives SIGKILL and power loss.
+  if (!journal_append_locked(
+          encode_batch(tenant_id, tenant->batches + 1, events))) {
+    result->error = kJournalFailed;
+    return;
   }
   // The batch record implies the tenant is alive: registered tenants
   // activate on their first batch, suspects reactivate. Replay applies
@@ -163,11 +249,6 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
   } else if (tenant->state == TenantState::kRegistered) {
     registry_.mark_active(tenant_id);
   }
-
-  // Write-ahead: the record is durable before any state changes, and the
-  // ack carries the commit seq — an acked batch survives SIGKILL.
-  journal_append_locked(
-      encode_batch(tenant_id, tenant->batches + 1, events));
 
   std::uint64_t comm = 0;
   const std::uint32_t tid_end = tenant->base_tid + tenant->num_threads;
@@ -206,25 +287,28 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
     arbitrate_locked();
   }
 
-  result.ok = true;
-  result.seq = commit_seq_;
-  result.comm_events = static_cast<std::uint32_t>(comm);
+  result->ok = true;
+  result->seq = commit_seq_;
+  result->comm_events = static_cast<std::uint32_t>(comm);
   maybe_rotate_locked();
-  return result;
 }
 
 bool SpcdService::tenant_exit(std::uint32_t tenant_id) {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  if (!registry_.mark_exited(tenant_id)) return false;
-  journal_append_locked(encode_exit(tenant_id));
-  if (trace_ != nullptr) {
-    obs::ScopedSession bind(trace_);
-    obs::trace_instant("svc", "exit", total_events_, {"tenant", tenant_id});
-    obs::trace_counter("svc", "active_tenants", total_events_,
-                       registry_.participating_count());
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_ || !registry_.mark_exited(tenant_id)) return false;
+    journal_append_locked(encode_exit(tenant_id));
+    if (trace_ != nullptr) {
+      obs::ScopedSession bind(trace_);
+      obs::trace_instant("svc", "exit", total_events_, {"tenant", tenant_id});
+      obs::trace_counter("svc", "active_tenants", total_events_,
+                         registry_.participating_count());
+    }
+    seq = commit_seq_;
+    maybe_rotate_locked();
   }
-  maybe_rotate_locked();
-  return true;
+  return await_durable(seq);
 }
 
 void SpcdService::touch(std::uint32_t tenant_id, std::uint64_t now_ms) {
@@ -235,13 +319,21 @@ void SpcdService::touch(std::uint32_t tenant_id, std::uint64_t now_ms) {
 
 bool SpcdService::heartbeat_seen(std::uint32_t tenant_id,
                                  std::uint64_t now_ms,
-                                 std::uint64_t* commit_seq) {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  Tenant* t = registry_.find(tenant_id);
-  if (t == nullptr || !tenant_participates(t->state)) return false;
-  t->last_seen_ms = now_ms;
-  if (t->state == TenantState::kSuspect) force_active_locked(tenant_id);
-  if (commit_seq != nullptr) *commit_seq = commit_seq_;
+                                 std::uint64_t* durable_seq) {
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_) return false;
+    Tenant* t = registry_.find(tenant_id);
+    if (t == nullptr || !tenant_participates(t->state)) return false;
+    t->last_seen_ms = now_ms;
+    if (t->state == TenantState::kSuspect) {
+      force_active_locked(tenant_id);
+      seq = commit_seq_;
+    }
+  }
+  if (!await_durable(seq)) return false;
+  if (durable_seq != nullptr) *durable_seq = this->durable_seq();
   return true;
 }
 
@@ -256,7 +348,21 @@ SpcdService::LivenessReport SpcdService::check_liveness(
     std::uint64_t now_ms) {
   LivenessReport report;
   if (config_.heartbeat_ms == 0) return report;
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_) return report;
+    const std::uint64_t before = commit_seq_;
+    sweep_liveness_locked(now_ms, &report);
+    if (commit_seq_ > before) seq = commit_seq_;
+  }
+  // A failed fsync fail-stops the service; the sweep has no ack to hold.
+  await_durable(seq);
+  return report;
+}
+
+void SpcdService::sweep_liveness_locked(std::uint64_t now_ms,
+                                        LivenessReport* report) {
   const std::uint64_t suspect_after = config_.heartbeat_ms;
   const std::uint64_t reap_after =
       config_.heartbeat_ms * std::max<std::uint64_t>(config_.reap_factor, 1);
@@ -272,7 +378,7 @@ SpcdService::LivenessReport SpcdService::check_liveness(
       registry_.mark_suspect(id);
       journal_append_locked(encode_suspect(id));
       ++lifecycle_.suspects;
-      ++report.suspected;
+      ++report->suspected;
       if (trace_ != nullptr) {
         obs::ScopedSession bind(trace_);
         obs::trace_instant("svc", "suspect", total_events_, {"tenant", id});
@@ -281,7 +387,7 @@ SpcdService::LivenessReport SpcdService::check_liveness(
       registry_.mark_reaped(id);
       journal_append_locked(encode_reap(id));
       ++lifecycle_.reaps;
-      ++report.reaped;
+      ++report->reaped;
       reaped_any = true;
       if (trace_ != nullptr) {
         obs::ScopedSession bind(trace_);
@@ -294,7 +400,6 @@ SpcdService::LivenessReport SpcdService::check_liveness(
   // recompute it at the same point.
   if (reaped_any) arbitrate_locked();
   maybe_rotate_locked();
-  return report;
 }
 
 bool SpcdService::dedup_lookup(std::uint32_t tenant_id,
@@ -341,12 +446,22 @@ ArbiterDecision SpcdService::arbitrate_locked() {
 }
 
 ArbiterDecision SpcdService::arbitrate_now() {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  return arbitrate_locked();
+  ArbiterDecision decision;
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    if (failed_) return decision;
+    decision = arbitrate_locked();
+    seq = commit_seq_;
+  }
+  // As in check_liveness: a failure fail-stops the service, and the
+  // decision is not an ack.
+  await_durable(seq);
+  return decision;
 }
 
 void SpcdService::maybe_rotate_locked() {
-  if (!journal_.is_open()) return;
+  if (failed_ || !journal_.is_open()) return;
   const std::uint64_t max_records = config_.journal_max_records;
   const std::uint64_t max_bytes = config_.journal_max_bytes;
   if ((max_records == 0 || journal_.records_written() < max_records) &&
@@ -359,6 +474,10 @@ void SpcdService::maybe_rotate_locked() {
   journal_append_locked(encode_rotate(next));
   evictions_base_ += table_.cross_tenant_evictions();
   table_.clear();
+  // Sync the old generation before closing it: group fsyncs only ever
+  // cover the live file. A leader mid-fsync holds its own dup of the old
+  // descriptor, so closing it here cannot pull the file from under it.
+  if (!journal_.sync()) failed_ = true;
   journal_.close();
   const std::string& base = config_.journal_path;
   std::rename(base.c_str(), generation_path(base, gen_).c_str());
@@ -424,7 +543,7 @@ void SpcdService::append_snapshot_locked() {
          pairs.begin() + static_cast<std::ptrdiff_t>(off + n)}));
   }
   journal_raw_append_locked(encode_snap_end());
-  journal_.sync();
+  if (!journal_.sync()) failed_ = true;
 }
 
 core::InterferenceCounters SpcdService::interference() const {
@@ -551,6 +670,16 @@ std::uint32_t SpcdService::generation() const {
   return gen_;
 }
 
+std::uint64_t SpcdService::durable_seq() const {
+  return durable_seq_.load(std::memory_order_acquire);
+}
+
+std::uint64_t SpcdService::journal_syncs() const {
+  return syncs_.load(std::memory_order_relaxed);
+}
+
+bool SpcdService::journal_failed() const { return failed_; }
+
 bool SpcdService::apply_record(const SessionRecord& rec, bool restoring,
                                ReplayResult* result) {
   using Kind = SessionRecord::Kind;
@@ -653,6 +782,7 @@ bool SpcdService::apply_record(const SessionRecord& rec, bool restoring,
       if (restoring) {
         total_events_ = rec.values[0];
         commit_seq_ = rec.values[1];
+        durable_seq_.store(commit_seq_, std::memory_order_release);
         registry_.restore_tid_space(
             static_cast<std::uint32_t>(rec.values[2]));
         decisions_base_ = rec.values[3];

@@ -1,14 +1,17 @@
 // SpcdService: the daemon's state machine, shared by every transport
 // session. All state mutation — tenant registration, fault-batch
 // ingest, re-registers, lifecycle transitions, exits, arbitration,
-// journal rotation — commits serially under one mutex, and every commit
-// appends its journal record (fsynced) *before* the result is returned
-// to the caller: a batch ack therefore promises the batch survives
-// SIGKILL, and journal order IS commit order, which is what makes
-// `spcdd --replay` byte-identical. The detection substrate
-// (ShardedSharingTable) stays internally thread-safe so benchmarks and
-// the TSan test can drive it concurrently, but the service's own
-// replayable history is strictly serial by construction.
+// journal rotation — commits serially under one mutex: each commit
+// writes its journal record (flushed, not yet fsynced) and applies its
+// state change under that lock, so journal order IS commit order, which
+// is what makes `spcdd --replay` byte-identical. Durability is a group
+// commit after the lock is released (DESIGN.md §14): a commit method
+// returns success only once an fsync covers its record, so a batch ack
+// promises the batch survives SIGKILL and power loss, while commits from
+// concurrent sessions share one fsync. A failed journal write or fsync
+// is fail-stop: every commit not yet durable reports an error and every
+// later commit is refused. Readers (metrics_json, stats) see committed
+// state, which may run ahead of the durable point.
 //
 // Liveness (DESIGN.md §16): wall-clock observations (last frame seen per
 // tenant) are tracked but never journaled; only the *transitions* they
@@ -19,6 +22,7 @@
 // both the live run and the replay.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -105,9 +109,9 @@ class SpcdService {
   void touch(std::uint32_t tenant_id, std::uint64_t now_ms);
 
   /// Heartbeat: touch + reactivate a suspect (journaled). On success
-  /// *commit_seq receives the current commit sequence for the ack.
+  /// *durable_seq receives the durable commit sequence for the ack.
   bool heartbeat_seen(std::uint32_t tenant_id, std::uint64_t now_ms,
-                      std::uint64_t* commit_seq);
+                      std::uint64_t* durable_seq);
 
   struct LivenessReport {
     std::uint32_t suspected = 0;
@@ -161,6 +165,17 @@ class SpcdService {
   /// Journal generation of the live file (0 until the first rotation).
   std::uint32_t generation() const;
 
+  // --- group commit (wall clock; not in metrics_json, not replayed) ---
+
+  /// Highest commit seq whose journal record is on disk (the commit
+  /// count itself when journal-less).
+  std::uint64_t durable_seq() const;
+  /// Group fsyncs run so far; under concurrent commits, fewer than the
+  /// commits they made durable.
+  std::uint64_t journal_syncs() const;
+  /// True once a journal write or fsync failed: commits are refused.
+  bool journal_failed() const;
+
   /// Bind an obs session: commits emit svc trace events stamped with the
   /// total-event count (the service's deterministic time axis).
   void set_trace_session(obs::Session* session) { trace_ = session; }
@@ -191,10 +206,22 @@ class SpcdService {
  private:
   /// Arbitrate under commit_mu_ (already held) and journal the decision.
   ArbiterDecision arbitrate_locked();
+  void ingest_locked(std::uint32_t tenant_id,
+                     const std::vector<FaultRecord>& events,
+                     IngestResult* result);
+  void sweep_liveness_locked(std::uint64_t now_ms, LivenessReport* report);
+  /// Take the next commit seq and write the record to the journal
+  /// (flushed, no fsync). False once the journal failed.
   bool journal_append_locked(const std::string& record);
-  /// Append without bumping commit_seq_ (snapshot records are state
+  /// Write without bumping commit_seq_ (snapshot records are state
   /// descriptions, not commits).
   void journal_raw_append_locked(const std::string& record);
+  /// Block, without commit_mu_, until commit `seq` is durable; false if
+  /// the journal failed first. One caller at a time (sync_mu_) is the
+  /// fsync leader: it reads commit_seq_ and dups the journal descriptor
+  /// under commit_mu_, then fsyncs outside it, making every record
+  /// written so far durable at once.
+  bool await_durable(std::uint64_t seq);
   bool force_active_locked(std::uint32_t tenant_id);
   /// Rotate the live journal when a size/record threshold tripped:
   /// journal a `rotate` commit (the detection table resets at that exact
@@ -213,6 +240,8 @@ class SpcdService {
   arch::Topology topology_;
   ShardedSharingTable table_;
 
+  /// Lock order: sync_mu_ before commit_mu_, never the reverse.
+  std::mutex sync_mu_;
   mutable std::mutex commit_mu_;
   TenantRegistry registry_;
   PlacementArbiter arbiter_;
@@ -223,6 +252,11 @@ class SpcdService {
   std::uint64_t total_events_ = 0;
   /// Commits so far (== journal records when journaling): the ack seq.
   std::uint64_t commit_seq_ = 0;
+  /// Highest commit seq known to be on disk; written by fsync leaders.
+  std::atomic<std::uint64_t> durable_seq_{0};
+  std::atomic<std::uint64_t> syncs_{0};
+  /// A journal write or fsync failed: state is ahead of the journal.
+  std::atomic<bool> failed_{false};
   /// Journal generation of the live file; bumped by rotation.
   std::uint32_t gen_ = 0;
   /// Decisions committed before a snapshot restore (seq continuity).

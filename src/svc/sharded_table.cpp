@@ -36,14 +36,14 @@ ShardedSharingTable::ShardedSharingTable(const ShardedTableConfig& config)
       64, config.table.num_entries / n);
   shards_.reserve(n);
   for (std::uint32_t s = 0; s < n; ++s) {
-    shards_.push_back(std::make_unique<Shard>(shard_cfg));
+    shards_.push_back(std::make_unique<mem::SharingTable>(shard_cfg));
     // Victim and incoming region both carry their tenant in the high
     // bits; differing high bits = one tenant evicted another's entry.
-    shards_.back()->table.set_eviction_hook(
+    shards_.back()->set_eviction_hook(
         [this](std::uint64_t evicted, std::uint64_t incoming) {
           if ((evicted >> tenant_region_shift_) !=
               (incoming >> tenant_region_shift_)) {
-            cross_tenant_evictions_.fetch_add(1, std::memory_order_relaxed);
+            ++cross_tenant_evictions_;
           }
         });
   }
@@ -76,62 +76,44 @@ mem::CommunicationEvent ShardedSharingTable::record(std::uint32_t tenant,
   const std::uint64_t salted =
       (static_cast<std::uint64_t>(tenant) + 1) << kTenantVaddrShift |
       (vaddr & kVaddrMask);
-  Shard& shard = *shards_[shard_of(salted >> config_.table.granularity_shift)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.table.record_access(salted, tid, now);
+  mem::SharingTable& shard =
+      *shards_[shard_of(salted >> config_.table.granularity_shift)];
+  return shard.record_access(salted, tid, now);
 }
 
 std::uint64_t ShardedSharingTable::accesses() const {
   std::uint64_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->table.accesses();
-  }
+  for (const auto& s : shards_) total += s->accesses();
   return total;
 }
 
 std::uint64_t ShardedSharingTable::collisions() const {
   std::uint64_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->table.collisions();
-  }
+  for (const auto& s : shards_) total += s->collisions();
   return total;
 }
 
 std::uint64_t ShardedSharingTable::occupied() const {
   std::uint64_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->table.occupied();
-  }
+  for (const auto& s : shards_) total += s->occupied();
   return total;
 }
 
 std::uint64_t ShardedSharingTable::window_rejects() const {
   std::uint64_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->table.window_rejects();
-  }
+  for (const auto& s : shards_) total += s->window_rejects();
   return total;
 }
 
 std::uint64_t ShardedSharingTable::memory_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->table.memory_bytes();
-  }
+  for (const auto& s : shards_) total += s->memory_bytes();
   return total;
 }
 
 void ShardedSharingTable::clear() {
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    s->table.clear();
-  }
-  cross_tenant_evictions_.store(0, std::memory_order_relaxed);
+  for (const auto& s : shards_) s->clear();
+  cross_tenant_evictions_ = 0;
 }
 
 }  // namespace spcd::svc

@@ -1,7 +1,5 @@
 // The multi-tenant detection substrate: one logical sharing table whose
-// entry capacity is partitioned across N independently-locked
-// mem::SharingTable shards, so concurrent tenant sessions can record
-// faults without serializing on one table lock.
+// entry capacity is partitioned across N mem::SharingTable shards.
 //
 // Tenant namespacing: region keys are salted with the tenant id in the
 // high virtual-address bits, so two tenants touching the same vaddr never
@@ -12,15 +10,13 @@
 // inter-app interference, surfaced through the arbiter's counters).
 //
 // Sharding is layout-only: shard_of(region) is a pure hash, and within a
-// shard the inner table behaves exactly like the paper's. Calls into one
-// shard serialize on that shard's mutex; calls into different shards run
-// concurrently (the TSan CI job hammers this property).
+// shard the inner table behaves exactly like the paper's. The table is
+// not thread-safe: callers serialize every call (SpcdService only
+// touches it under its commit lock, whose order the journal records).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "mem/sharing_table.hpp"
@@ -42,7 +38,7 @@ class ShardedSharingTable {
 
   /// Record that global thread `tid` of `tenant` touched `vaddr` at time
   /// `now`. Partners in the returned event are global tids of the same
-  /// tenant. Thread-safe; concurrent calls contend only within a shard.
+  /// tenant.
   mem::CommunicationEvent record(std::uint32_t tenant, std::uint64_t vaddr,
                                  mem::ThreadId tid, util::Cycles now);
 
@@ -59,31 +55,25 @@ class ShardedSharingTable {
   static std::uint32_t tenant_of_region(std::uint64_t region,
                                         unsigned granularity_shift);
 
-  // --- aggregated statistics (lock each shard briefly) ---
+  // --- aggregated statistics (summed over the shards) ---
   std::uint64_t accesses() const;
   std::uint64_t collisions() const;
   std::uint64_t occupied() const;
   std::uint64_t window_rejects() const;
   /// Collisions whose victim entry belonged to a different tenant.
   std::uint64_t cross_tenant_evictions() const {
-    return cross_tenant_evictions_.load(std::memory_order_relaxed);
+    return cross_tenant_evictions_;
   }
   std::uint64_t memory_bytes() const;
 
   void clear();
 
  private:
-  struct Shard {
-    explicit Shard(const mem::SharingTableConfig& cfg) : table(cfg) {}
-    std::mutex mu;
-    mem::SharingTable table;
-  };
-
   ShardedTableConfig config_;
   /// Salt shift: tenant id lives at region bits >= this.
   unsigned tenant_region_shift_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> cross_tenant_evictions_{0};
+  std::vector<std::unique_ptr<mem::SharingTable>> shards_;
+  std::uint64_t cross_tenant_evictions_ = 0;
 };
 
 }  // namespace spcd::svc

@@ -25,8 +25,8 @@ std::string frame(const std::string& record) {
   return out;
 }
 
-// fflush + fsync: the record must be on disk, not in a stdio or kernel
-// buffer, before append() reports success.
+// fflush + fsync: the records must be on disk, not in a stdio or kernel
+// buffer, before sync() reports success.
 bool flush_to_disk(std::FILE* file) {
   if (std::fflush(file) != 0) return false;
   return ::fsync(::fileno(file)) == 0;
@@ -163,11 +163,15 @@ Journal& Journal::operator=(Journal&& other) noexcept {
 }
 
 bool Journal::append(const std::string& record) {
+  return write(record) && sync();
+}
+
+bool Journal::write(const std::string& record) {
   if (!ok()) return false;
   const std::string framed = frame(record);
   if (std::fwrite(framed.data(), 1, framed.size(), file_) !=
           framed.size() ||
-      !flush_to_disk(file_)) {
+      std::fflush(file_) != 0) {
     SPCD_LOG_WARN("journal: short write to %s; further records will be "
                   "dropped", path_.c_str());
     failed_ = true;
@@ -178,9 +182,17 @@ bool Journal::append(const std::string& record) {
   return true;
 }
 
-void Journal::sync() {
-  if (ok()) flush_to_disk(file_);
+bool Journal::sync() {
+  if (!ok()) return false;
+  if (!flush_to_disk(file_)) {
+    SPCD_LOG_WARN("journal: fsync of %s failed; further records will be "
+                  "dropped", path_.c_str());
+    failed_ = true;
+  }
+  return ok();
 }
+
+int Journal::dup_fd() const { return ok() ? ::dup(::fileno(file_)) : -1; }
 
 void Journal::close() {
   if (file_ != nullptr) {

@@ -78,12 +78,24 @@ class Journal {
   /// rotation without a stat() per append.
   std::uint64_t bytes_written() const { return bytes_written_; }
 
-  /// Append one framed record and fsync it to disk before returning, so a
-  /// record that append() accepted survives SIGKILL. Returns ok().
+  /// write() then sync(): one framed record, on disk before returning, so
+  /// a record that append() accepted survives SIGKILL. Returns ok().
   bool append(const std::string& record);
 
-  /// Flush and fsync without appending (no-op on a failed journal).
-  void sync();
+  /// Append one framed record and flush it to the kernel, without fsync:
+  /// it survives a crash of this process but not of the machine until a
+  /// later sync() (or an fsync of dup_fd()). Returns ok().
+  bool write(const std::string& record);
+
+  /// Flush and fsync everything written so far. Returns ok(); a failed
+  /// fsync fails the journal.
+  bool sync();
+
+  /// A duplicate of the file descriptor (-1 on a failed journal), which
+  /// the caller fsyncs and closes. It stays valid when this journal is
+  /// closed or moved meanwhile, so a group commit can fsync outside the
+  /// lock that guards the journal.
+  int dup_fd() const;
 
   void close();
 

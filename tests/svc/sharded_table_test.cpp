@@ -1,12 +1,10 @@
 // Sharded sharing table: tenant salting isolates address spaces, shard
-// layout is a pure function of the region key, cross-tenant capacity
-// evictions are counted, and concurrent recording from many threads is
-// race-free (this test is in the TSan CI job's target list).
+// layout is a pure function of the region key, and cross-tenant capacity
+// evictions are counted. Concurrent use goes through SpcdService's commit
+// lock (group_commit_test).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
-#include <vector>
 
 #include "svc/sharded_table.hpp"
 
@@ -85,36 +83,6 @@ TEST(SvcShardedTableTest, ClearResetsStatistics) {
   EXPECT_EQ(table.accesses(), 0u);
   EXPECT_EQ(table.occupied(), 0u);
   EXPECT_EQ(table.cross_tenant_evictions(), 0u);
-}
-
-TEST(SvcShardedTableTest, ConcurrentTenantsRecordRaceFree) {
-  // 8 tenant threads, overlapping pages, small table — maximum contention
-  // on both the shard locks and the eviction counter. TSan's target.
-  ShardedTableConfig config;
-  config.shards = 4;
-  config.table.num_entries = 1024;
-  ShardedSharingTable table(config);
-
-  constexpr std::uint32_t kTenants = 8;
-  constexpr std::uint64_t kOpsPerTenant = 20'000;
-  std::vector<std::thread> threads;
-  threads.reserve(kTenants);
-  for (std::uint32_t tenant = 0; tenant < kTenants; ++tenant) {
-    threads.emplace_back([&table, tenant] {
-      std::uint64_t state = tenant * 0x9e3779b97f4a7c15ULL + 1;
-      for (std::uint64_t i = 0; i < kOpsPerTenant; ++i) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        const std::uint64_t vaddr = (state % 512) << 12;
-        const auto tid =
-            static_cast<std::uint32_t>(tenant * 4 + (state >> 20) % 4);
-        table.record(tenant, vaddr, tid, i);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(table.accesses(), kTenants * kOpsPerTenant);
 }
 
 }  // namespace
