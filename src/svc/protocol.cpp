@@ -4,22 +4,24 @@ namespace spcd::svc {
 
 namespace {
 
-void put_u16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
+/// kFaultBatch: type, client_seq and count, then { vaddr, tid, time }.
+constexpr std::size_t kFaultBatchHeaderBytes = 1 + 8 + 4;
+constexpr std::size_t kFaultEventBytes = 8 + 4 + 8;
+
+// A little-endian word, appended whole (the byte loop folds into one
+// store).
+template <typename T>
+void put_le(std::string* out, T v) {
+  char bytes[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  out->append(bytes, sizeof(T));
 }
 
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+void put_u16(std::string* out, std::uint16_t v) { put_le(out, v); }
+void put_u32(std::string* out, std::uint32_t v) { put_le(out, v); }
+void put_u64(std::string* out, std::uint64_t v) { put_le(out, v); }
 
 /// Bounds-checked little-endian reader over a frame payload.
 class Reader {
@@ -96,7 +98,9 @@ std::string encode_welcome(std::uint32_t tenant_id, std::uint32_t base_tid) {
 
 std::string encode_fault_batch(std::uint64_t client_seq,
                                const std::vector<FaultRecord>& events) {
-  std::string out = typed(MessageType::kFaultBatch);
+  std::string out;
+  out.reserve(kFaultBatchHeaderBytes + events.size() * kFaultEventBytes);
+  out.push_back(static_cast<char>(MessageType::kFaultBatch));
   put_u64(&out, client_seq);
   put_u32(&out, static_cast<std::uint32_t>(events.size()));
   for (const FaultRecord& ev : events) {

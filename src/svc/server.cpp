@@ -55,18 +55,31 @@ ServerStats ServiceServer::stats() const {
   return s;
 }
 
-bool ServiceServer::overloaded(Transport& transport,
-                               std::uint64_t client_seq) {
-  if (config_.max_pending_commits == 0) return false;
-  if (pending_commits_.load(std::memory_order_relaxed) <
-      config_.max_pending_commits) {
+bool ServiceServer::admit() {
+  if (config_.max_pending_commits != 0 &&
+      pending_commits_.load(std::memory_order_relaxed) >=
+          config_.max_pending_commits) {
     return false;
   }
-  // The request was NOT committed (nothing journaled): telling the
-  // client to retry later keeps replay determinism untouched.
-  transport.send(encode_retry(client_seq, config_.retry_delay_ms));
-  retries_sent_.fetch_add(1, std::memory_order_relaxed);
+  pending_commits_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+void ServiceServer::answer(Transport& transport, std::uint64_t client_seq,
+                           const SessionReply& reply) {
+  if (reply.duplicate) {
+    duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (reply.ok) {
+    transport.send(reply.frame);
+  } else if (reply.refused) {
+    // The request was NOT committed (nothing journaled): telling the
+    // client to retry later keeps replay determinism untouched.
+    transport.send(encode_retry(client_seq, config_.retry_delay_ms));
+    retries_sent_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    transport.send(encode_error(reply.error));
+  }
 }
 
 void ServiceServer::session_loop(Transport& transport,
@@ -144,29 +157,14 @@ void ServiceServer::session_loop(Transport& transport,
           transport.send(encode_error("hello first"));
           break;
         }
-        std::string cached;
-        if (service_.dedup_lookup(tenant_id, msg->client_seq, &cached)) {
-          // A reconnecting client re-sent a frame we already committed:
-          // replay the cached reply instead of committing twice.
-          duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
-          transport.send(cached);
-          break;
-        }
-        if (overloaded(transport, msg->client_seq)) break;
-        pending_commits_.fetch_add(1, std::memory_order_relaxed);
-        service_.touch(tenant_id, now_ms());
-        const IngestResult r = service_.ingest(tenant_id, msg->events);
-        pending_commits_.fetch_sub(1, std::memory_order_relaxed);
-        if (!r.ok) {
-          transport.send(encode_error(r.error));
-          break;
-        }
-        // ingest returns only once the batch's record is durable (the
-        // group fsync covering it ran): an acked batch survives SIGKILL.
-        const std::string reply =
-            encode_batch_ack(msg->client_seq, r.seq, r.comm_events);
-        service_.dedup_store(tenant_id, msg->client_seq, reply);
-        transport.send(reply);
+        // A re-sent client_seq is answered from the dedup cache even when
+        // the commit queue is full; the ack leaves once the batch is
+        // durable, so an acked batch survives SIGKILL.
+        const bool admitted = admit();
+        const SessionReply r = service_.ingest_once(
+            tenant_id, msg->client_seq, msg->events, now_ms(), admitted);
+        if (admitted) pending_commits_.fetch_sub(1, std::memory_order_relaxed);
+        answer(transport, msg->client_seq, r);
         break;
       }
       case MessageType::kReRegister: {
@@ -174,25 +172,11 @@ void ServiceServer::session_loop(Transport& transport,
           transport.send(encode_error("hello first"));
           break;
         }
-        std::string cached;
-        if (service_.dedup_lookup(tenant_id, msg->client_seq, &cached)) {
-          duplicates_suppressed_.fetch_add(1, std::memory_order_relaxed);
-          transport.send(cached);
-          break;
-        }
-        if (overloaded(transport, msg->client_seq)) break;
-        pending_commits_.fetch_add(1, std::memory_order_relaxed);
-        service_.touch(tenant_id, now_ms());
-        const RegisterResult r =
-            service_.re_register(tenant_id, msg->num_threads);
-        pending_commits_.fetch_sub(1, std::memory_order_relaxed);
-        if (!r.ok) {
-          transport.send(encode_error(r.error));
-          break;
-        }
-        const std::string reply = encode_welcome(r.tenant_id, r.base_tid);
-        service_.dedup_store(tenant_id, msg->client_seq, reply);
-        transport.send(reply);
+        const bool admitted = admit();
+        const SessionReply r = service_.re_register_once(
+            tenant_id, msg->client_seq, msg->num_threads, now_ms(), admitted);
+        if (admitted) pending_commits_.fetch_sub(1, std::memory_order_relaxed);
+        answer(transport, msg->client_seq, r);
         break;
       }
       case MessageType::kHeartbeat: {

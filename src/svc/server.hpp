@@ -12,7 +12,8 @@
 // check_liveness each poll) and enforces admission control: when more
 // than max_pending_commits batches are in flight (on the commit lock or
 // awaiting their group fsync), new batches get a kRetry reply — the
-// request is NOT committed, so replay determinism is untouched. The
+// request is NOT committed, so replay determinism is untouched — while a
+// re-send of a committed request still gets its cached reply. The
 // health counters in ServerStats (heartbeats, retries, suppressed
 // duplicates, resumed sessions) are transport-side observations; they
 // are deliberately NOT part of the service's journaled state.
@@ -85,8 +86,13 @@ class ServiceServer {
 
  private:
   void session_loop(Transport& transport, const util::CancelToken& token);
-  /// True when the commit queue is full; sends the kRetry itself.
-  bool overloaded(Transport& transport, std::uint64_t client_seq);
+  /// Admission control for a sequenced request: false when the commit
+  /// queue is full; otherwise true, and the request counts as pending
+  /// until the caller releases it.
+  bool admit();
+  /// Send a sequenced request's reply, kRetry or error.
+  void answer(Transport& transport, std::uint64_t client_seq,
+              const SessionReply& reply);
 
   SpcdService& service_;
   ServerConfig config_;

@@ -136,41 +136,48 @@ RegisterResult SpcdService::register_tenant(const std::string& name,
 RegisterResult SpcdService::re_register(std::uint32_t tenant_id,
                                         std::uint32_t new_threads) {
   RegisterResult result;
-  if (new_threads < 1 || new_threads > kMaxTenantThreads) {
-    result.error = "thread count out of range";
-    return result;
-  }
   std::uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     if (failed_) return once_durable(result, false);
-    Tenant* t = registry_.find(tenant_id);
-    if (t == nullptr || !tenant_participates(t->state)) {
-      result.error = "unknown or departed tenant";
-      return result;
-    }
-    // A suspect that re-registers is clearly alive again; the transition
-    // is implied by the rereg record (replay's re_register does the same).
-    if (t->state == TenantState::kSuspect) {
-      registry_.mark_active(tenant_id);
-      ++lifecycle_.reactivations;
-    }
-    registry_.re_register(tenant_id, new_threads);
-    ++lifecycle_.reregisters;
-    journal_append_locked(
-        encode_reregister_record(tenant_id, new_threads, t->base_tid));
-    if (trace_ != nullptr) {
-      obs::ScopedSession bind(trace_);
-      obs::trace_instant("svc", "reregister", total_events_,
-                         {"tenant", tenant_id}, {"threads", new_threads});
-    }
-    result.ok = true;
-    result.tenant_id = tenant_id;
-    result.base_tid = t->base_tid;
+    if (!re_register_locked(tenant_id, new_threads, &result)) return result;
     seq = commit_seq_;
-    maybe_rotate_locked();
   }
   return once_durable(result, await_durable(seq));
+}
+
+bool SpcdService::re_register_locked(std::uint32_t tenant_id,
+                                     std::uint32_t new_threads,
+                                     RegisterResult* result) {
+  if (new_threads < 1 || new_threads > kMaxTenantThreads) {
+    result->error = "thread count out of range";
+    return false;
+  }
+  Tenant* t = registry_.find(tenant_id);
+  if (t == nullptr || !tenant_participates(t->state)) {
+    result->error = "unknown or departed tenant";
+    return false;
+  }
+  // A suspect that re-registers is clearly alive again; the transition
+  // is implied by the rereg record (replay's re_register does the same).
+  if (t->state == TenantState::kSuspect) {
+    registry_.mark_active(tenant_id);
+    ++lifecycle_.reactivations;
+  }
+  registry_.re_register(tenant_id, new_threads);
+  ++lifecycle_.reregisters;
+  journal_append_locked(
+      encode_reregister_record(tenant_id, new_threads, t->base_tid));
+  if (trace_ != nullptr) {
+    obs::ScopedSession bind(trace_);
+    obs::trace_instant("svc", "reregister", total_events_,
+                       {"tenant", tenant_id}, {"threads", new_threads});
+  }
+  result->ok = true;
+  result->tenant_id = tenant_id;
+  result->base_tid = t->base_tid;
+  maybe_rotate_locked();
+  return true;
 }
 
 RegisterResult SpcdService::resume_tenant(std::uint32_t tenant_id,
@@ -201,10 +208,6 @@ RegisterResult SpcdService::resume_tenant(std::uint32_t tenant_id,
 IngestResult SpcdService::ingest(std::uint32_t tenant_id,
                                  const std::vector<FaultRecord>& events) {
   IngestResult result;
-  if (events.size() > kMaxBatchEvents) {
-    result.error = "batch too large";
-    return result;
-  }
   {
     std::lock_guard<std::mutex> lock(commit_mu_);
     if (failed_) return once_durable(result, false);
@@ -217,6 +220,10 @@ IngestResult SpcdService::ingest(std::uint32_t tenant_id,
 void SpcdService::ingest_locked(std::uint32_t tenant_id,
                                 const std::vector<FaultRecord>& events,
                                 IngestResult* result) {
+  if (events.size() > kMaxBatchEvents) {
+    result->error = "batch too large";
+    return;
+  }
   Tenant* tenant = registry_.find(tenant_id);
   if (tenant == nullptr) {
     result->error = "unknown tenant";
@@ -402,25 +409,76 @@ void SpcdService::sweep_liveness_locked(std::uint64_t now_ms,
   maybe_rotate_locked();
 }
 
-bool SpcdService::dedup_lookup(std::uint32_t tenant_id,
-                               std::uint64_t client_seq, std::string* reply) {
-  if (client_seq == 0) return false;
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  Tenant* t = registry_.find(tenant_id);
-  if (t == nullptr || t->last_client_seq != client_seq) return false;
-  *reply = t->cached_reply;
-  return true;
+template <typename Commit>
+SessionReply SpcdService::commit_once(std::uint32_t tenant_id,
+                                      std::uint64_t client_seq,
+                                      std::uint64_t now_ms, bool admit,
+                                      Commit commit) {
+  SessionReply reply;
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    Tenant* t = registry_.find(tenant_id);
+    if (t != nullptr && client_seq != 0 && t->last_client_seq == client_seq) {
+      // A re-send of a committed request, whose fsync may still be running
+      // for the connection that sent it first: same reply, same wait.
+      reply.duplicate = true;
+      reply.frame = t->cached_reply;
+      seq = t->cached_commit_seq;
+    } else if (!admit) {
+      reply.refused = true;
+      return reply;
+    } else if (failed_) {
+      reply.error = kJournalFailed;
+      return reply;
+    } else {
+      if (t != nullptr) t->last_seen_ms = now_ms;
+      if (!commit(&reply, &seq)) return reply;
+      if (t != nullptr && client_seq != 0) {
+        t->last_client_seq = client_seq;
+        t->cached_reply = reply.frame;
+        t->cached_commit_seq = seq;
+      }
+    }
+  }
+  reply.ok = await_durable(seq);
+  if (!reply.ok) reply.error = kJournalFailed;
+  return reply;
 }
 
-void SpcdService::dedup_store(std::uint32_t tenant_id,
-                              std::uint64_t client_seq,
-                              const std::string& reply) {
-  if (client_seq == 0) return;
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  Tenant* t = registry_.find(tenant_id);
-  if (t == nullptr) return;
-  t->last_client_seq = client_seq;
-  t->cached_reply = reply;
+SessionReply SpcdService::ingest_once(std::uint32_t tenant_id,
+                                      std::uint64_t client_seq,
+                                      const std::vector<FaultRecord>& events,
+                                      std::uint64_t now_ms, bool admit) {
+  const auto commit = [&](SessionReply* reply, std::uint64_t* seq) {
+    IngestResult r;
+    ingest_locked(tenant_id, events, &r);
+    if (!r.ok) {
+      reply->error = r.error;
+      return false;
+    }
+    reply->frame = encode_batch_ack(client_seq, r.seq, r.comm_events);
+    *seq = r.seq;
+    return true;
+  };
+  return commit_once(tenant_id, client_seq, now_ms, admit, commit);
+}
+
+SessionReply SpcdService::re_register_once(std::uint32_t tenant_id,
+                                           std::uint64_t client_seq,
+                                           std::uint32_t num_threads,
+                                           std::uint64_t now_ms, bool admit) {
+  const auto commit = [&](SessionReply* reply, std::uint64_t* seq) {
+    RegisterResult r;
+    if (!re_register_locked(tenant_id, num_threads, &r)) {
+      reply->error = r.error;
+      return false;
+    }
+    reply->frame = encode_welcome(r.tenant_id, r.base_tid);
+    *seq = commit_seq_;
+    return true;
+  };
+  return commit_once(tenant_id, client_seq, now_ms, admit, commit);
 }
 
 ArbiterDecision SpcdService::arbitrate_locked() {
@@ -479,8 +537,20 @@ void SpcdService::maybe_rotate_locked() {
   // descriptor, so closing it here cannot pull the file from under it.
   if (!journal_.sync()) failed_ = true;
   journal_.close();
+  if (failed_) return;
   const std::string& base = config_.journal_path;
-  std::rename(base.c_str(), generation_path(base, gen_).c_str());
+  const std::string rotated = generation_path(base, gen_);
+  // The next generation is created at `base`, which truncates whatever is
+  // there: if the rename failed, that is this generation and its acked
+  // records. Fail-stop and leave the file alone instead. The directory
+  // fsync makes the rename survive power loss.
+  if (std::rename(base.c_str(), rotated.c_str()) != 0 ||
+      !util::sync_parent_dir(base)) {
+    SPCD_LOG_WARN("spcdd: cannot rotate %s to %s; refusing further commits",
+                  base.c_str(), rotated.c_str());
+    failed_ = true;
+    return;
+  }
   gen_ = next;
   journal_ = util::Journal::create(base, service_meta(config_, gen_));
   append_snapshot_locked();

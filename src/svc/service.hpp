@@ -55,6 +55,16 @@ struct IngestResult {
   std::uint32_t comm_events = 0;  ///< partner pairs this batch detected
 };
 
+/// What a session sends back for a sequenced request: a fault batch or a
+/// re-register carrying a client_seq.
+struct SessionReply {
+  bool ok = false;         ///< `frame` is the reply to send
+  bool duplicate = false;  ///< a re-sent client_seq, answered from cache
+  bool refused = false;    ///< not admitted and nothing committed: kRetry
+  std::string frame;       ///< the kBatchAck or kWelcome, when ok
+  std::string error;       ///< set when neither ok nor refused
+};
+
 /// Deterministic lifecycle counters, reproduced exactly by --replay
 /// (every increment corresponds to a journaled record or code path).
 struct LifecycleCounters {
@@ -125,15 +135,26 @@ class SpcdService {
   /// never produced a frame (last_seen == 0) are exempt.
   LivenessReport check_liveness(std::uint64_t now_ms);
 
-  // --- idempotent re-send (transport-level, not journaled) ---
+  // --- sequenced requests: at most one commit per client_seq ---
 
-  /// True iff `client_seq` matches the tenant's last committed request;
-  /// *reply receives the cached reply frame to re-send.
-  bool dedup_lookup(std::uint32_t tenant_id, std::uint64_t client_seq,
-                    std::string* reply);
-  /// Remember the reply frame committed for `client_seq`.
-  void dedup_store(std::uint32_t tenant_id, std::uint64_t client_seq,
-                   const std::string& reply);
+  /// Commit a session's fault batch once per (tenant, client_seq). One
+  /// hold of the commit lock looks client_seq up in the tenant's reply
+  /// cache and, on a miss, touches liveness at `now_ms`, commits, and
+  /// caches the kBatchAck frame with its commit seq. A hit commits
+  /// nothing and answers with the cached frame. Either way the reply is
+  /// ok only once that commit is durable, so a re-send that races the
+  /// original's fsync on another connection is neither committed twice
+  /// nor acked early. A miss that the server did not `admit` (its commit
+  /// queue is full) commits nothing and comes back refused. client_seq 0
+  /// is never cached. Not journaled: the cache is transport state.
+  SessionReply ingest_once(std::uint32_t tenant_id, std::uint64_t client_seq,
+                           const std::vector<FaultRecord>& events,
+                           std::uint64_t now_ms, bool admit);
+  /// The same for a kReRegister; the reply is the tenant's new kWelcome.
+  SessionReply re_register_once(std::uint32_t tenant_id,
+                                std::uint64_t client_seq,
+                                std::uint32_t num_threads, std::uint64_t now_ms,
+                                bool admit);
 
   const ServiceConfig& config() const { return config_; }
   const arch::Topology& topology() const { return topology_; }
@@ -209,6 +230,15 @@ class SpcdService {
   void ingest_locked(std::uint32_t tenant_id,
                      const std::vector<FaultRecord>& events,
                      IngestResult* result);
+  bool re_register_locked(std::uint32_t tenant_id, std::uint32_t new_threads,
+                          RegisterResult* result);
+  /// The body of ingest_once / re_register_once. `commit` runs under
+  /// commit_mu_ on an admitted cache miss: it returns true with the reply
+  /// frame and the commit seq to wait on, or false with reply->error set
+  /// and nothing committed.
+  template <typename Commit>
+  SessionReply commit_once(std::uint32_t tenant_id, std::uint64_t client_seq,
+                           std::uint64_t now_ms, bool admit, Commit commit);
   void sweep_liveness_locked(std::uint64_t now_ms, LivenessReport* report);
   /// Take the next commit seq and write the record to the journal
   /// (flushed, no fsync). False once the journal failed.

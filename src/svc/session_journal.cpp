@@ -1,11 +1,13 @@
 #include "svc/session_journal.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace spcd::svc {
@@ -13,6 +15,37 @@ namespace spcd::svc {
 namespace {
 
 constexpr char kMetaVersion[] = "spcd-service-v2";
+
+// The batch encoder runs under the commit lock once per batch, so the bulk
+// encoders size one string for the record's longest form, write numbers
+// into it with std::to_chars and trim it: one allocation, no stream and
+// no format parsing. to_chars prints what printf's %u and %x print (no
+// leading zeros, lowercase hex), the grammar every journal is written in.
+constexpr std::size_t kMaxDecChars = 20;  ///< digits of UINT64_MAX
+constexpr std::size_t kMaxHexChars = 16;
+/// Room for a record's head: a short tag and up to three numbers.
+constexpr std::size_t kMaxHeadChars = 16 + 3 * (1 + kMaxDecChars);
+/// Room for one " <hex>,<hex>,<hex>" element.
+constexpr std::size_t kMaxCellChars = 3 * (1 + kMaxHexChars);
+
+char* put_text(char* p, std::string_view text) {
+  return std::copy(text.begin(), text.end(), p);
+}
+
+/// `p` must have room for kMaxDecChars; returns the end of the digits.
+char* put_dec(char* p, std::uint64_t v) {
+  return std::to_chars(p, p + kMaxDecChars, v).ptr;
+}
+
+/// `p` must have room for kMaxHexChars; returns the end of the digits.
+char* put_hex(char* p, std::uint64_t v) {
+  return std::to_chars(p, p + kMaxHexChars, v, 16).ptr;
+}
+
+/// Trim a record string sized for its longest form to what was written.
+void trim(std::string* out, const char* end) {
+  out->resize(static_cast<std::size_t>(end - out->data()));
+}
 
 /// Split on single spaces; empty tokens (leading/double spaces) are
 /// preserved so malformed records fail parsing instead of aliasing.
@@ -140,15 +173,23 @@ std::string encode_register(std::uint32_t tenant_id, const std::string& name,
 
 std::string encode_batch(std::uint32_t tenant_id, std::uint64_t seq,
                          const std::vector<FaultRecord>& events) {
-  std::ostringstream os;
-  os << "batch " << tenant_id << ' ' << seq << ' ' << events.size();
-  char buf[64];
+  std::string out(kMaxHeadChars + events.size() * kMaxCellChars, '\0');
+  char* p = put_text(out.data(), "batch ");
+  p = put_dec(p, tenant_id);
+  *p++ = ' ';
+  p = put_dec(p, seq);
+  *p++ = ' ';
+  p = put_dec(p, events.size());
   for (const FaultRecord& e : events) {
-    std::snprintf(buf, sizeof(buf), " %" PRIx64 ",%x,%" PRIx64, e.vaddr,
-                  e.tid, e.time);
-    os << buf;
+    *p++ = ' ';
+    p = put_hex(p, e.vaddr);
+    *p++ = ',';
+    p = put_hex(p, e.tid);
+    *p++ = ',';
+    p = put_hex(p, e.time);
   }
-  return os.str();
+  trim(&out, p);
+  return out;
 }
 
 std::string encode_reregister_record(std::uint32_t tenant_id,
@@ -209,10 +250,14 @@ std::string encode_snap_svc(std::uint64_t total_events,
 }
 
 std::string encode_snap_counters(const std::vector<std::uint64_t>& values) {
-  std::ostringstream os;
-  os << "snap ctr";
-  for (const std::uint64_t v : values) os << ' ' << v;
-  return os.str();
+  std::string out(kMaxHeadChars + values.size() * (1 + kMaxDecChars), '\0');
+  char* p = put_text(out.data(), "snap ctr");
+  for (const std::uint64_t v : values) {
+    *p++ = ' ';
+    p = put_dec(p, v);
+  }
+  trim(&out, p);
+  return out;
 }
 
 std::string encode_snap_tenant(const Tenant& t) {
@@ -228,26 +273,35 @@ std::string encode_snap_tenant(const Tenant& t) {
 
 std::string encode_snap_matrix(
     std::uint32_t tenant_id, const std::vector<SessionRecord::Cell>& cells) {
-  std::ostringstream os;
-  os << "snap mat " << tenant_id << ' ' << cells.size();
-  char buf[80];
+  std::string out(kMaxHeadChars + cells.size() * kMaxCellChars, '\0');
+  char* p = put_text(out.data(), "snap mat ");
+  p = put_dec(p, tenant_id);
+  *p++ = ' ';
+  p = put_dec(p, cells.size());
   for (const SessionRecord::Cell& c : cells) {
-    std::snprintf(buf, sizeof(buf), " %" PRIx64 ",%" PRIx64 ",%" PRIx64, c.a,
-                  c.b, c.w);
-    os << buf;
+    *p++ = ' ';
+    p = put_hex(p, c.a);
+    *p++ = ',';
+    p = put_hex(p, c.b);
+    *p++ = ',';
+    p = put_hex(p, c.w);
   }
-  return os.str();
+  trim(&out, p);
+  return out;
 }
 
 std::string encode_snap_prev(const std::vector<SessionRecord::Cell>& pairs) {
-  std::ostringstream os;
-  os << "snap prev " << pairs.size();
-  char buf[64];
+  std::string out(kMaxHeadChars + pairs.size() * kMaxCellChars, '\0');
+  char* p = put_text(out.data(), "snap prev ");
+  p = put_dec(p, pairs.size());
   for (const SessionRecord::Cell& c : pairs) {
-    std::snprintf(buf, sizeof(buf), " %" PRIx64 ",%" PRIx64, c.a, c.b);
-    os << buf;
+    *p++ = ' ';
+    p = put_hex(p, c.a);
+    *p++ = ',';
+    p = put_hex(p, c.b);
   }
-  return os.str();
+  trim(&out, p);
+  return out;
 }
 
 std::string encode_snap_end() { return "snap end"; }

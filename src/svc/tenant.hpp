@@ -66,11 +66,14 @@ struct Tenant {
   std::uint32_t reregisters = 0;  ///< thread-count changes committed
 
   // --- idempotent re-send support (transport state, never journaled) ---
-  /// Highest client_seq committed for this tenant (0 = none yet) and the
-  /// reply frame it produced: a reconnecting client that re-sends seq N
-  /// gets the cached reply instead of a second commit.
+  /// Highest client_seq committed for this tenant (0 = none yet), the
+  /// reply frame it produced and the commit seq that reply waits on: a
+  /// reconnecting client that re-sends seq N gets the cached reply, once
+  /// that commit is durable, instead of a second commit. Filled in the
+  /// commit's own critical section.
   std::uint64_t last_client_seq = 0;
   std::string cached_reply;
+  std::uint64_t cached_commit_seq = 0;
 
   // --- liveness (wall clock, never journaled) ---
   /// Last time any frame from this tenant was processed (steady-clock

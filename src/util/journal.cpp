@@ -1,5 +1,6 @@
 #include "util/journal.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cinttypes>
@@ -17,9 +18,11 @@ constexpr const char kFramePrefix[] = "#rec ";
 
 std::string frame(const std::string& record) {
   char head[64];
-  std::snprintf(head, sizeof head, "#rec %zu %016" PRIx64 "\n",
-                record.size(), fnv1a64(record));
-  std::string out(head);
+  const int len = std::snprintf(head, sizeof head, "#rec %zu %016" PRIx64 "\n",
+                                record.size(), fnv1a64(record));
+  std::string out;
+  out.reserve(static_cast<std::size_t>(len) + record.size() + 1);
+  out.append(head, static_cast<std::size_t>(len));
   out += record;
   out += '\n';
   return out;
@@ -41,6 +44,19 @@ std::uint64_t fnv1a64(const std::string& data) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+bool sync_parent_dir(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  // "a" lives in ".", "/a" in "/".
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash == 0 ? 1 : slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
 }
 
 Journal::LoadResult Journal::load(const std::string& path) {
@@ -106,6 +122,9 @@ Journal Journal::create(const std::string& path, const std::string& meta) {
       !flush_to_disk(j.file_)) {
     SPCD_LOG_WARN("journal: cannot write header to %s", path.c_str());
     j.failed_ = true;
+  } else if (!sync_parent_dir(path)) {
+    SPCD_LOG_WARN("journal: cannot fsync the directory of %s", path.c_str());
+    j.failed_ = true;
   }
   return j;
 }
@@ -126,6 +145,11 @@ Journal Journal::rotate(const std::string& path, const std::string& meta,
     SPCD_LOG_WARN("journal: cannot rename %s over %s", tmp_path.c_str(),
                   path.c_str());
     std::remove(tmp_path.c_str());
+    j.failed_ = true;
+    return j;
+  }
+  if (!sync_parent_dir(path)) {
+    SPCD_LOG_WARN("journal: cannot fsync the directory of %s", path.c_str());
     j.failed_ = true;
     return j;
   }

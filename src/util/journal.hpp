@@ -33,6 +33,12 @@ namespace spcd::util {
 /// corruption, not adversaries).
 std::uint64_t fnv1a64(const std::string& data);
 
+/// fsync the directory that holds `path`. A file's own fsync does not
+/// promise that its directory entry is on disk, so a file created or
+/// renamed there survives power loss by name only after this. False on
+/// failure.
+bool sync_parent_dir(const std::string& path);
+
 class Journal {
  public:
   /// What Journal::load() recovered from a journal file.
@@ -50,13 +56,14 @@ class Journal {
   static LoadResult load(const std::string& path);
 
   /// Create (or truncate) a fresh journal with the given meta line and
-  /// open it for appending. `meta` must not contain newlines.
+  /// open it for appending; the header and the directory entry are on
+  /// disk before it returns. `meta` must not contain newlines.
   static Journal create(const std::string& path, const std::string& meta);
 
   /// Atomic-rename rotation: write a fresh journal holding `records` to
-  /// "<path>.tmp", fsync it, rename it over `path`, and return it open for
-  /// appending. Used to compact a resumed journal down to its intact
-  /// prefix before new records are appended after it.
+  /// "<path>.tmp", fsync it, rename it over `path`, fsync the directory,
+  /// and return it open for appending. Used to compact a resumed journal
+  /// down to its intact prefix before new records are appended after it.
   static Journal rotate(const std::string& path, const std::string& meta,
                         const std::vector<std::string>& records);
 

@@ -1,15 +1,20 @@
 // TenantClient fault tolerance: a dead connection is healed by
 // reconnect + kResume + idempotent re-send (the server's dedup cache
-// keeps the commit at-most-once), kRetry backpressure is honored, stale
+// keeps the commit at-most-once, also when re-sends of one request race
+// on several connections), kRetry backpressure is honored, stale
 // replies are discarded rather than misattributed, and a draining server
 // stops the client for good.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "svc/client.hpp"
@@ -138,6 +143,86 @@ TEST(SvcClientReconnectTest, DuplicateBatchIsSuppressedByTheDedupCache) {
   server.drain();
   EXPECT_EQ(service.total_events(), test_batch(0).size());
   EXPECT_EQ(server.stats().duplicates_suppressed, 1u);
+}
+
+TEST(SvcClientReconnectTest, ConcurrentResendsOfOneClientSeqCommitOnce) {
+  // Eight connections resume one tenant and send the same client_seq at
+  // once, as when a client reconnects while its first send still waits
+  // for the group fsync. Each round must commit the batch exactly once
+  // and give every connection the same ack.
+  const std::string path = testing::TempDir() + "svc_concurrent_resend.journal";
+  std::remove(path.c_str());
+  ServiceConfig config;
+  config.journal_path = path;
+  SpcdService service(config);
+  ServerConfig server_config;
+  server_config.recv_timeout_ms = 10;
+  ServiceServer server(service, server_config);
+  InProcListener listener;
+  std::thread acceptor([&] { server.accept_loop(listener); });
+
+  std::string payload;
+  auto owner = listener.connect();
+  ASSERT_NE(owner, nullptr);
+  ASSERT_TRUE(owner->send(encode_hello("resender", 2)));
+  ASSERT_EQ(owner->recv(&payload, 2000), Transport::RecvStatus::kFrame);
+  const std::optional<Message> welcome = parse_message(payload);
+  ASSERT_TRUE(welcome.has_value());
+  ASSERT_EQ(welcome->type, MessageType::kWelcome);
+
+  constexpr std::size_t kConnections = 8;
+  constexpr std::uint32_t kRounds = 10;
+  const std::string resume = encode_resume(welcome->tenant_id, "resender");
+  std::vector<std::unique_ptr<Transport>> wires;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    std::unique_ptr<Transport> wire = listener.connect();
+    ASSERT_NE(wire, nullptr);
+    ASSERT_TRUE(wire->send(resume));
+    ASSERT_EQ(wire->recv(&payload, 2000), Transport::RecvStatus::kFrame);
+    ASSERT_EQ(parse_message(payload)->type, MessageType::kWelcome);
+    wires.push_back(std::move(wire));
+  }
+
+  std::uint64_t committed_events = 0;
+  for (std::uint32_t round = 1; round <= kRounds; ++round) {
+    const std::vector<FaultRecord> batch = test_batch(round);
+    const std::string frame = encode_fault_batch(round, batch);
+    std::vector<std::string> acks(kConnections);
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> senders;
+    for (std::size_t i = 0; i < kConnections; ++i) {
+      senders.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < kConnections) std::this_thread::yield();
+        if (wires[i]->send(frame)) wires[i]->recv(&acks[i], 5000);
+      });
+    }
+    for (std::thread& t : senders) t.join();
+    committed_events += batch.size();
+    EXPECT_EQ(service.total_events(), committed_events) << "round " << round;
+    const std::optional<Message> ack = parse_message(acks[0]);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->type, MessageType::kBatchAck);
+    EXPECT_EQ(ack->client_seq, round);
+    EXPECT_LE(ack->seq, service.durable_seq());
+    for (std::size_t i = 1; i < kConnections; ++i) {
+      EXPECT_EQ(acks[i], acks[0]) << "round " << round << " wire " << i;
+    }
+  }
+  EXPECT_EQ(server.stats().duplicates_suppressed, kRounds * (kConnections - 1));
+
+  ASSERT_TRUE(owner->send(encode_bye()));
+  owner->close();
+  for (auto& wire : wires) wire->close();
+  listener.close();
+  server.request_stop();
+  acceptor.join();
+  server.drain();
+  // The journal holds each batch once, too.
+  const SpcdService::ReplayResult replayed = SpcdService::replay(path);
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  EXPECT_EQ(replayed.service->total_events(), committed_events);
+  std::remove(path.c_str());
 }
 
 TEST(SvcClientReconnectTest, RetryBackpressureIsHonored) {

@@ -1,9 +1,12 @@
 // Wire-protocol contract: every message round-trips encode -> parse, and
 // every malformed payload — truncated, oversized, trailing bytes, bogus
 // type — yields nullopt, never UB (the daemon parses attacker-controlled
-// bytes).
+// bytes). The fault-batch frame's exact bytes are pinned, literally and
+// against a byte-at-a-time reference encoder on random batches.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -11,6 +14,26 @@
 
 namespace spcd::svc {
 namespace {
+
+/// Reference model of the kFaultBatch layout in protocol.hpp: every field
+/// little-endian, one byte at a time.
+std::string reference_fault_batch(std::uint64_t client_seq,
+                                  const std::vector<FaultRecord>& events) {
+  std::string out(1, static_cast<char>(MessageType::kFaultBatch));
+  const auto put = [&out](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put(client_seq, 8);
+  put(events.size(), 4);
+  for (const FaultRecord& e : events) {
+    put(e.vaddr, 8);
+    put(e.tid, 4);
+    put(e.time, 8);
+  }
+  return out;
+}
 
 TEST(SvcProtocolTest, TenantNameValidation) {
   EXPECT_TRUE(valid_tenant_name("app-0"));
@@ -50,6 +73,46 @@ TEST(SvcProtocolTest, FaultBatchRoundTrip) {
   EXPECT_EQ(msg->type, MessageType::kFaultBatch);
   EXPECT_EQ(msg->client_seq, 7u);
   EXPECT_EQ(msg->events, events);
+}
+
+TEST(SvcProtocolTest, FaultBatchBytesArePinned) {
+  using std::string_literals::operator""s;
+  const std::vector<FaultRecord> events = {
+      {0x1122334455667788ULL, 0xaabbccddu, 0x99},
+      {0xffffffffffffffffULL, 0, 0},
+  };
+  const std::string expected =
+      "\x03"                                // kFaultBatch
+      "\x08\x07\x06\x05\x04\x03\x02\x01"    // client_seq
+      "\x02\x00\x00\x00"                    // count
+      "\x88\x77\x66\x55\x44\x33\x22\x11"    // vaddr
+      "\xdd\xcc\xbb\xaa"                    // tid
+      "\x99\x00\x00\x00\x00\x00\x00\x00"    // time
+      "\xff\xff\xff\xff\xff\xff\xff\xff"    // vaddr
+      "\x00\x00\x00\x00"                    // tid
+      "\x00\x00\x00\x00\x00\x00\x00\x00"s;  // time
+  EXPECT_EQ(encode_fault_batch(0x0102030405060708ULL, events), expected);
+  EXPECT_EQ(encode_fault_batch(5, {}),
+            "\x03\x05\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"s);
+}
+
+TEST(SvcProtocolTest, FaultBatchMatchesTheReferenceOnRandomBatches) {
+  std::mt19937_64 rng(0xba7c4);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<FaultRecord> events(rng() % 300);
+    for (FaultRecord& e : events) {
+      e.vaddr = rng();
+      e.tid = static_cast<std::uint32_t>(rng());
+      e.time = rng();
+    }
+    const std::uint64_t client_seq = rng();
+    const std::string frame = encode_fault_batch(client_seq, events);
+    ASSERT_EQ(frame, reference_fault_batch(client_seq, events)) << round;
+    const auto msg = parse_message(frame);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->client_seq, client_seq);
+    EXPECT_EQ(msg->events, events);
+  }
 }
 
 TEST(SvcProtocolTest, EmptyFaultBatchRoundTrip) {

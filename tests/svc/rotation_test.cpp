@@ -2,9 +2,12 @@
 // a generation file ("<path>.g<N>") and opens the next generation with a
 // head snapshot, replay follows the whole chain (or seeds itself from
 // the oldest retained snapshot when early generations were pruned), the
-// torn-tail tolerance applies only to the live file, and a rotated
-// session still replays byte for byte.
+// torn-tail tolerance applies only to the live file, a rotated session
+// still replays byte for byte, and a generation that cannot be renamed
+// stops the service instead of being truncated.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -179,6 +182,58 @@ TEST(SvcRotationTest, TornTailToleratedOnLiveFileOnly) {
   const SpcdService::ReplayResult refused = SpcdService::replay(path);
   EXPECT_FALSE(refused.ok);
   EXPECT_FALSE(refused.error.empty());
+  remove_chain(path);
+}
+
+TEST(SvcRotationTest, FailedRenameFailStopsAndKeepsTheGeneration) {
+  const std::string path = tmp_journal("svc_rotation_blocked.journal");
+  remove_chain(path);
+  // A non-empty directory where generation 0 goes: rename(2) cannot
+  // replace it.
+  const std::string blocker = path + ".g0";
+  const std::string filler = blocker + "/keep";
+  std::remove(filler.c_str());
+  ::rmdir(blocker.c_str());
+  ASSERT_EQ(::mkdir(blocker.c_str(), 0700), 0);
+  std::ofstream(filler) << "x";
+
+  ServiceConfig config;
+  config.journal_path = path;
+  config.journal_max_records = 8;
+  const DriverConfig driver;
+  std::uint64_t acked_events = 0;
+  {
+    SpcdService service(config);
+    const RegisterResult reg = service.register_tenant("blocked", 4);
+    ASSERT_TRUE(reg.ok) << reg.error;
+    std::uint32_t b = 0;
+    for (; b < 16 && !service.journal_failed(); ++b) {
+      const std::vector<FaultRecord> batch = scripted_batch(driver, 0, b);
+      if (service.ingest(reg.tenant_id, batch).ok) {
+        acked_events += batch.size();
+      }
+    }
+    EXPECT_TRUE(service.journal_failed());
+    EXPECT_EQ(service.generation(), 0u);
+    const std::vector<FaultRecord> late = scripted_batch(driver, 0, b);
+    EXPECT_FALSE(service.ingest(reg.tenant_id, late).ok);
+    EXPECT_FALSE(service.register_tenant("late", 2).ok);
+  }
+  ASSERT_GT(acked_events, 0u);
+
+  // The live file was left alone: it still starts at the register record
+  // and holds every acked batch, plus at most the batch whose commit
+  // tripped the rotation (written, never acked).
+  const SpcdService::ReplayResult replayed = SpcdService::replay(path);
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  EXPECT_FALSE(replayed.restored_from_snapshot);
+  EXPECT_EQ(replayed.service->registered_tenants(), 1u);
+  EXPECT_GE(replayed.service->total_events(), acked_events);
+  EXPECT_LE(replayed.service->total_events(),
+            acked_events + driver.events_per_batch);
+
+  std::remove(filler.c_str());
+  ::rmdir(blocker.c_str());
   remove_chain(path);
 }
 

@@ -1,9 +1,17 @@
 // Session-journal codec: every record kind round-trips encode -> parse,
 // the meta line binds the deterministic config shape, and malformed lines
-// are rejected strictly (the replayer parses crash leftovers).
+// are rejected strictly (the replayer parses crash leftovers). The bulk
+// encoders' exact bytes are pinned against literal records and, for the
+// batch record, against a printf-based reference on random batches: a
+// journal written by one build must replay under any other.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +19,24 @@
 
 namespace spcd::svc {
 namespace {
+
+constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+
+/// Reference model of the batch record: an ostringstream for the head and
+/// one snprintf per event, the obviously-correct way to print the grammar
+/// in session_journal.hpp.
+std::string reference_batch(std::uint32_t tenant_id, std::uint64_t seq,
+                            const std::vector<FaultRecord>& events) {
+  std::ostringstream os;
+  os << "batch " << tenant_id << ' ' << seq << ' ' << events.size();
+  char buf[64];
+  for (const FaultRecord& e : events) {
+    std::snprintf(buf, sizeof(buf), " %" PRIx64 ",%x,%" PRIx64, e.vaddr,
+                  e.tid, e.time);
+    os << buf;
+  }
+  return os.str();
+}
 
 TEST(SvcSessionJournalTest, RegisterRoundTrip) {
   const auto rec =
@@ -34,6 +60,56 @@ TEST(SvcSessionJournalTest, BatchRoundTrip) {
   EXPECT_EQ(rec->tenant_id, 7u);
   EXPECT_EQ(rec->batch_seq, 99u);
   EXPECT_EQ(rec->events, events);
+}
+
+TEST(SvcSessionJournalTest, BatchBytesArePinned) {
+  const std::vector<FaultRecord> events = {
+      {0, 0, 0},
+      {kMax64, 0xffffffffu, kMax64},
+      {0x7f00dead1000ULL, 3, 1'234'567},
+  };
+  EXPECT_EQ(encode_batch(0, 0, events),
+            "batch 0 0 3 0,0,0 ffffffffffffffff,ffffffff,ffffffffffffffff "
+            "7f00dead1000,3,12d687");
+  EXPECT_EQ(encode_batch(0xffffffffu, kMax64, {{0x10, 1, 0xa}}),
+            "batch 4294967295 18446744073709551615 1 10,1,a");
+  EXPECT_EQ(encode_batch(1, 1, {}), "batch 1 1 0");
+  const auto empty = parse_session_record("batch 1 1 0");
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->events.empty());
+}
+
+TEST(SvcSessionJournalTest, SnapshotBytesArePinned) {
+  EXPECT_EQ(encode_snap_counters({0, 1, 42, kMax64}),
+            "snap ctr 0 1 42 18446744073709551615");
+  EXPECT_EQ(encode_snap_counters({}), "snap ctr");
+  EXPECT_EQ(encode_snap_matrix(7, {{0, 1, 1}, {2, 0x1f, kMax64}}),
+            "snap mat 7 2 0,1,1 2,1f,ffffffffffffffff");
+  EXPECT_EQ(encode_snap_matrix(0xffffffffu, {}), "snap mat 4294967295 0");
+  EXPECT_EQ(encode_snap_prev({{0, 5, 0}, {31, 0xff, 0}, {kMax64, 0, 0}}),
+            "snap prev 3 0,5 1f,ff ffffffffffffffff,0");
+  EXPECT_EQ(encode_snap_prev({}), "snap prev 0");
+}
+
+TEST(SvcSessionJournalTest, BatchMatchesThePrintfReferenceOnRandomBatches) {
+  std::mt19937_64 rng(0x5eed);
+  // A random width first, so every digit count (and zero) shows up.
+  const auto value = [&rng](unsigned max_bits) {
+    const unsigned bits = static_cast<unsigned>(rng() % (max_bits + 1));
+    return bits == 0 ? 0 : rng() >> (64 - bits);
+  };
+  for (int round = 0; round < 500; ++round) {
+    std::vector<FaultRecord> events(rng() % 300);
+    for (FaultRecord& e : events) {
+      e.vaddr = value(64);
+      e.tid = static_cast<std::uint32_t>(value(32));
+      e.time = value(64);
+    }
+    const auto tenant = static_cast<std::uint32_t>(value(32));
+    const std::uint64_t seq = value(64);
+    const std::string record = encode_batch(tenant, seq, events);
+    ASSERT_EQ(record, reference_batch(tenant, seq, events)) << round;
+  }
 }
 
 TEST(SvcSessionJournalTest, ExitAndDecisionRoundTrip) {
