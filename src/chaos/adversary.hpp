@@ -24,8 +24,8 @@
 // fault, inside the detector's serial drain loop, from an RNG stream seeded
 // by the cell seed. The fabrication schedule is therefore a pure function
 // of the (already deterministic) fault stream — bit-identical for any
-// SPCD_JOBS or SPCD_ENGINE_SHARDS value. With kind == kNone no stream is
-// created and no draw ever happens.
+// SPCD_JOBS value. With kind == kNone no stream is created and no draw
+// ever happens.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,7 @@ struct PhantomFault {
 
 /// The attack driver. Seeded once per run from the cell seed; colluding
 /// pairs / the attacker thread are drawn at construction so the attack
-/// targets are stable for the whole run (and across job/shard counts).
+/// targets are stable for the whole run (and across job counts).
 class AdversaryEngine {
  public:
   struct Counters {

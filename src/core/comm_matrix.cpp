@@ -56,15 +56,6 @@ void CommMatrix::clear() {
   ++epoch_;
 }
 
-void CommMatrix::merge(const CommMatrix& other) {
-  SPCD_EXPECTS(other.n_ == n_);
-  for (std::uint32_t a = 0, i = 0; a < n_; ++a) {
-    for (std::uint32_t b = a + 1; b < n_; ++b, ++i) {
-      if (other.cells_[i] != 0) add(a, b, other.cells_[i]);
-    }
-  }
-}
-
 std::int32_t CommMatrix::partner_of(std::uint32_t t) const {
   SPCD_EXPECTS(t < n_);
   return best_partner_[t];

@@ -33,13 +33,6 @@ class CommMatrix {
 
   void clear();
 
-  /// Element-wise accumulate another matrix (same size) into this one.
-  /// Communication amounts are pure sums and the partner tie rule is a
-  /// function of final cell values only, so merging per-worker partial
-  /// matrices in any order yields exactly the matrix a serial pass would
-  /// have built — the property the parallel oracle tracer relies on.
-  void merge(const CommMatrix& other);
-
   /// The thread each thread communicates most with (its *partner* in the
   /// paper's filter terminology), or -1 if the row is all zero. Ties go to
   /// the lowest thread id. O(1): maintained incrementally by add().

@@ -6,6 +6,10 @@
 // tree order, are assigned to hardware contexts in topology order — so the
 // tightest pairs land on SMT siblings, the next level shares L2/L3, and the
 // loosest split crosses sockets.
+//
+// The algorithm runs as the "blossom" strategy of core/mapping_strategy.hpp,
+// on the grouping-tree code in core/mapper_detail.hpp. This header holds
+// the result type and the placement helpers every strategy shares.
 #pragma once
 
 #include <cstdint>
@@ -21,33 +25,6 @@ struct MappingResult {
   sim::Placement placement;  ///< tid -> context
   std::uint32_t rounds = 0;  ///< matching rounds performed
 };
-
-/// DEPRECATED shim (one release): equivalent to the "blossom" strategy of
-/// core/mapping_strategy.hpp — new code should go through the registry
-/// (`make_mapping_strategy`) so the algorithm stays selectable by name.
-///
-/// Compute a placement for `matrix.size()` threads on the given topology.
-/// Requires matrix.size() <= topology.num_contexts(). Threads with no
-/// communication at all are still placed (arbitrarily, but
-/// deterministically).
-///
-/// If `current` is non-empty, the assignment of groups to symmetric
-/// resources (which socket, which core within a socket, which SMT slot) is
-/// chosen to keep as many threads as possible on their current context —
-/// the mapping quality is identical, but repeated remappings do not churn
-/// the whole fleet.
-MappingResult compute_mapping(const CommMatrix& matrix,
-                              const arch::Topology& topology,
-                              const sim::Placement& current = {});
-
-/// DEPRECATED shim (one release): equivalent to the "greedy" strategy of
-/// core/mapping_strategy.hpp.
-///
-/// Greedy baseline for the ablation study (DESIGN.md S5.6): repeatedly pair
-/// the two unmatched threads with the highest mutual communication instead
-/// of solving the matching optimally.
-MappingResult compute_mapping_greedy(const CommMatrix& matrix,
-                                     const arch::Topology& topology);
 
 /// Number of threads whose context differs between two placements (the
 /// migrations applying `target` over `current` would perform).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/hierarchical_mapper.hpp"
+#include "core/mapper_detail.hpp"
 
 namespace spcd::core {
 
@@ -17,22 +18,32 @@ std::uint64_t MappingStrategy::decision_cost(std::uint32_t num_threads,
 
 namespace {
 
+// Threads with no communication at all are still placed (arbitrarily, but
+// deterministically). With a non-empty `current`, the assignment of groups
+// to symmetric resources (which socket, which core, which SMT slot) keeps
+// as many threads as possible on their current context: the mapping
+// quality is identical, but repeated remaps do not churn the whole fleet.
 class BlossomStrategy final : public MappingStrategy {
  public:
   std::string_view name() const override { return "blossom"; }
   MappingResult map(const CommMatrix& matrix, const arch::Topology& topology,
                     const sim::Placement& current) const override {
-    return compute_mapping(matrix, topology, current);
+    return detail::compute_with(matrix, topology, detail::merge_round_matched,
+                                current);
   }
 };
 
+// The ablation baseline (DESIGN.md S5.6): repeatedly pair the two unmatched
+// groups with the highest mutual communication instead of solving the
+// matching optimally.
 class GreedyStrategy final : public MappingStrategy {
  public:
   std::string_view name() const override { return "greedy"; }
   MappingResult map(const CommMatrix& matrix, const arch::Topology& topology,
                     const sim::Placement& current) const override {
     (void)current;  // the greedy baseline has no placement-stable mode
-    return compute_mapping_greedy(matrix, topology);
+    return detail::compute_with(matrix, topology, detail::merge_round_greedy,
+                                {});
   }
 };
 

@@ -3,8 +3,7 @@
 // and the CLI tools — selects the algorithm through this interface by
 // registry name, the same way `parse_policy` selects placement policies.
 // Strategies registered today:
-//   * blossom      — the paper's exact Edmonds grouping (the default; bit-
-//                    identical to the former compute_mapping free function),
+//   * blossom      — the paper's exact Edmonds grouping (the default),
 //   * greedy       — the greedy pairing baseline of the ablation study,
 //   * hierarchical — the multilevel mapper for large machines (coarsen by
 //                    heavy-edge matching, exact Blossom at small levels,

@@ -34,15 +34,6 @@ class OracleTracer {
   const CommMatrix& matrix() const { return matrix_; }
   std::uint64_t accesses_seen() const { return accesses_; }
 
-  /// Fold another tracer's results in: matrix cells (commutative sums, see
-  /// CommMatrix::merge) and the access count. Region sharer state is NOT
-  /// merged — callers must ensure the two tracers observed disjoint region
-  /// sets, as the parallel tracer's region partition does.
-  void absorb(const OracleTracer& other) {
-    matrix_.merge(other.matrix_);
-    accesses_ += other.accesses_;
-  }
-
  private:
   struct Region {
     static constexpr std::uint32_t kMaxSharers = 8;

@@ -22,11 +22,11 @@
 //
 // Adversarial hardening (DESIGN.md §13): an optional chaos::AdversaryEngine
 // fabricates phantom faults riding on each delivered real fault (inside the
-// serial drain loop, so the attack is bit-identical across job/shard
-// counts), and — when SpcdConfig::hardening is enabled — the detector
-// scores per-thread fault-rate anomalies per window (rate spike x edge
-// entropy), discounts matrix increments from flagged sources, and feeds the
-// flags to the sharing table's admission guard.
+// serial drain loop, so the attack is bit-identical across job counts),
+// and — when SpcdConfig::hardening is enabled — the detector scores
+// per-thread fault-rate anomalies per window (rate spike x edge entropy),
+// discounts matrix increments from flagged sources, and feeds the flags to
+// the sharing table's admission guard.
 #pragma once
 
 #include <array>
@@ -53,9 +53,9 @@ class SpcdDetector final : public mem::FaultObserver {
   util::Cycles on_fault(const mem::FaultEvent& event) override;
 
   /// Apply all pending (ring-buffered) fault events now. Called at quantum
-  /// boundaries by SpcdKernel, at every engine epoch (the parallel engine's
-  /// deterministic drain point — see DESIGN.md §12), and implicitly by
-  /// every accessor below, so observers can never see pre-drain state.
+  /// boundaries by SpcdKernel, at every engine epoch (the engine's sim-time
+  /// heartbeat — see DESIGN.md §12), and implicitly by every accessor
+  /// below, so observers can never see pre-drain state.
   /// Drain frequency is free to vary: events apply strictly in arrival
   /// order with costs already charged, so any flush schedule yields
   /// bit-identical detector state. Logically const: the observable state

@@ -55,8 +55,8 @@ void SpcdKernel::install(sim::Engine& engine) {
     hooked_space_->add_fault_observer(data_mapper_.get());
   }
   injector_.install(engine);
-  // Fault batches also drain at every engine epoch — the deterministic
-  // heartbeat the parallel engine synchronizes on. Safe at any frequency:
+  // Fault batches also drain at every engine epoch, the engine's
+  // deterministic sim-time heartbeat. Safe at any frequency:
   // drain order preserves fault order, costs were charged synchronously in
   // on_fault, and saturation checks key off per-fault counters and the
   // fault's own timestamp, so an extra drain point never changes results

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -108,10 +107,10 @@ struct RunCapture {
   MetricsRegistry metrics;
 };
 
-/// A session may be bound on several threads at once (the run's commit
-/// thread plus its engine-shard workers, see ThreadPool::JobDecorator), so
-/// record()/log()/capture() serialize on an internal mutex. metrics() is
-/// exempt: the registry is only touched from the commit thread.
+/// record()/log()/capture() serialize on an internal mutex, so a session
+/// bound (ScopedSession) on more than one thread records and captures
+/// consistently. metrics() is exempt: the registry is only touched from
+/// the thread running the simulation.
 class Session {
  public:
   explicit Session(const TraceConfig& config);
@@ -137,8 +136,8 @@ class Session {
 };
 
 /// The session bound to this thread, or nullptr. Sessions are bound for
-/// the duration of one run, on the thread executing it; there is no
-/// cross-thread sharing, hence no locking.
+/// the duration of one run, on the thread executing it; the binding is
+/// thread-local, so the lookup takes no lock.
 Session* current_session();
 
 /// RAII thread binding. Binding nullptr is valid and explicitly silences
@@ -154,13 +153,6 @@ class ScopedSession {
  private:
   Session* prev_;
 };
-
-/// ThreadPool::JobDecorator that captures the *submitting* thread's bound
-/// session and re-binds it (ScopedSession) around the job on whichever
-/// worker runs it. Without this, pool workers have no session and every
-/// trace/log from worker code is silently dropped. Capturing nullptr is
-/// fine: the job then runs explicitly un-instrumented, same as today.
-std::function<void()> bind_current_session(std::function<void()> job);
 
 #ifdef SPCD_OBS_DISABLED
 inline void trace_instant(const char*, const char*, util::Cycles,

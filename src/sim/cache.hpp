@@ -6,11 +6,8 @@
 // (one cache line for 8 ways) instead of interleaved tag/tick/valid
 // records — the tag walk is the simulator's hottest memory traffic.
 //
-// Threading contract: caches are commit-side state. Even in the parallel
-// engine (SPCD_ENGINE_SHARDS > 1) every probe/fill/invalidate happens on
-// the single commit thread in serial op order; shard workers only
-// pre-generate op streams and never touch the memory hierarchy. Nothing
-// here is (or needs to be) synchronized.
+// Threading contract: a cache belongs to one engine, and the engine is
+// single-threaded, so nothing here is (or needs to be) synchronized.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,6 @@ Engine::Engine(Machine& machine, mem::AddressSpace& address_space,
       placement_(std::move(placement)),
       smt_penalty_x256_(
           static_cast<std::uint32_t>(machine.spec().smt_penalty * 256.0)),
-      plan_(workload.num_threads(), config.shards),
       next_epoch_(config.epoch_interval) {
   const std::uint32_t n = workload.num_threads();
   SPCD_EXPECTS(placement_.size() == n);
@@ -38,50 +37,10 @@ Engine::Engine(Machine& machine, mem::AddressSpace& address_space,
     heap_.push(HeapEntry{0, tid});
   }
   active_threads_ = n;
-  ops_consumed_.assign(n, 0);
-
-  if (plan_.parallel()) {
-    // Generation starts now, overlapping the caller's remaining setup.
-    std::vector<ThreadProgram*> programs(n);
-    for (ThreadId tid = 0; tid < n; ++tid) {
-      programs[tid] = threads_[tid].program.get();
-    }
-    cursors_.resize(n);
-    prefetcher_ = std::make_unique<ShardPrefetcher>(
-        plan_, std::move(programs), config_.window_chunks);
-  }
 }
 
 void Engine::schedule(util::Cycles when, std::function<void(Engine&)> fn) {
   events_.push(Event{std::max(when, now_), event_seq_++, std::move(fn)});
-}
-
-Op Engine::next_op(ThreadId tid) {
-  ++ops_consumed_[tid];
-  if (!prefetcher_) return threads_[tid].program->next();
-
-  OpCursor& cur = cursors_[tid];
-  if (cur.index >= cur.chunk.count) {
-    if (cur.chunk.final_chunk) {
-      // Matches the generator contract: a finished program keeps yielding
-      // kFinish. (Unreachable in practice — the engine stops stepping a
-      // thread at its first kFinish.)
-      Op op{};
-      op.kind = OpKind::kFinish;
-      return op;
-    }
-    if (!prefetcher_->buffer(tid).pop(cur.chunk)) {
-      // Buffer closed mid-stream: shutdown/timeout teardown. Unwind the
-      // thread; the run's results are already marked invalid by then.
-      Op op{};
-      op.kind = OpKind::kFinish;
-      return op;
-    }
-    cur.index = 0;
-    SPCD_ASSERT(cur.chunk.count >= 1);
-    prefetcher_->on_chunk_consumed();  // a window opened: wake producers
-  }
-  return cur.chunk.ops[cur.index++];
 }
 
 void Engine::advance_epochs() {
@@ -89,52 +48,9 @@ void Engine::advance_epochs() {
   while (now_ >= next_epoch_) {
     ++epoch_count_;
     next_epoch_ += config_.epoch_interval;
-    // Drain cross-shard messages in (shard, seq) order. Generation
-    // accounting is the only traffic today; records are deterministic in
-    // content but not in *which epoch* collects them (that depends on how
-    // far ahead the workers ran), so they accumulate here and are emitted
-    // in a canonical order at run end.
-    if (prefetcher_) {
-      prefetcher_->gen_records().drain(
-          [&](unsigned, const ShardPrefetcher::GenRecord& rec) {
-            gen_done_.push_back(rec);
-          });
-    }
     obs::trace_instant("engine", "epoch", now_, {"epoch", epoch_count_},
                        {"active", active_threads_});
     for (auto& hook : epoch_hooks_) hook(*this);
-  }
-}
-
-void Engine::emit_gen_accounting() {
-  // A timed-out run abandons streams mid-generation; skip rather than emit
-  // a host-timing-dependent partial set.
-  if (timed_out_) return;
-  if (prefetcher_) {
-    prefetcher_->gen_records().drain(
-        [&](unsigned, const ShardPrefetcher::GenRecord& rec) {
-          gen_done_.push_back(rec);
-        });
-  } else {
-    // Serial path: synthesize the records the workers would have produced.
-    // Workers cut chunks only at capacity or kFinish, so the chunk count
-    // is a pure function of the op count.
-    for (ThreadId tid = 0; tid < threads_.size(); ++tid) {
-      const std::uint64_t ops = ops_consumed_[tid];
-      gen_done_.push_back(ShardPrefetcher::GenRecord{
-          tid, ops, (ops + OpChunk::kChunkOps - 1) / OpChunk::kChunkOps});
-    }
-  }
-  std::sort(gen_done_.begin(), gen_done_.end(),
-            [](const ShardPrefetcher::GenRecord& a,
-               const ShardPrefetcher::GenRecord& b) { return a.tid < b.tid; });
-  SPCD_ASSERT(gen_done_.size() == threads_.size());
-  for (const auto& rec : gen_done_) {
-    // Generated and consumed streams must agree op-for-op — the core
-    // serial-equivalence invariant of the parallel engine.
-    SPCD_ASSERT(rec.ops == ops_consumed_[rec.tid]);
-    obs::trace_instant("engine", "gen_done", finish_time_, {"tid", rec.tid},
-                       {"chunks", rec.chunks});
   }
 }
 
@@ -303,7 +219,7 @@ void Engine::charge_mapping(util::Cycles cycles, ThreadId victim_tid) {
 void Engine::run() {
   while (!heap_.empty()) {
     // Epoch heartbeat: fires on the simulated clock, so boundaries land at
-    // identical points in the commit sequence for any shard count.
+    // identical points of every run.
     advance_epochs();
 
     // Kernel events due before the next thread step run first.
@@ -348,7 +264,7 @@ void Engine::run() {
     const util::Cycles limit = std::min(heap_limit, event_limit);
 
     for (int batch = 0; batch < 64; ++batch) {
-      const Op op = next_op(tid);
+      const Op op = t.program->next();
       if (op.kind == OpKind::kBarrier) {
         arrive_at_barrier(tid);
         break;
@@ -367,9 +283,6 @@ void Engine::run() {
       }
     }
   }
-  // Join workers before draining: only a quiescent queue is complete.
-  if (prefetcher_) prefetcher_->shutdown();
-  emit_gen_accounting();
   obs::trace_instant("engine", "run_end", finish_time_,
                      {"timed_out", timed_out_ ? 1u : 0u});
 }

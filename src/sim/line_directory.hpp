@@ -25,12 +25,7 @@ namespace spcd::sim {
 template <typename Value>
 class LineMap {
  public:
-  explicit LineMap(std::size_t expected = 0) { rehash(capacity_for(expected)); }
-
-  void reserve(std::size_t expected) {
-    const std::size_t want = capacity_for(expected);
-    if (want > slots_.size()) rehash(want);
-  }
+  LineMap() { rehash(capacity_for(0)); }
 
   std::size_t size() const { return size_; }
 

@@ -11,9 +11,8 @@ constexpr std::uint32_t bit(std::uint32_t i) { return 1u << i; }
 }  // namespace
 
 MemoryHierarchy::MemoryHierarchy(const arch::MachineSpec& spec,
-                                 const arch::Topology& topo,
-                                 unsigned directory_shards)
-    : spec_(spec), topo_(topo), directory_(directory_shards) {
+                                 const arch::Topology& topo)
+    : spec_(spec), topo_(topo) {
   SPCD_EXPECTS(topo.num_cores() <= 32);   // core_mask is 32 bits
   SPCD_EXPECTS(topo.num_sockets() <= 8);  // l3_mask is 8 bits
   l1_.reserve(topo.num_cores());

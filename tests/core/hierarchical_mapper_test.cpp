@@ -170,7 +170,7 @@ TEST(HierarchicalMapperTest, SmallInstancesMatchBlossomExactly) {
       }
       const auto hier =
           hierarchical_mapping(m, topo, sim::Placement{}, config).placement;
-      const auto exact = compute_mapping(m, topo).placement;
+      const auto exact = make_mapping_strategy({})->map(m, topo).placement;
       EXPECT_EQ(hier, exact) << "n=" << n << " seed=" << seed;
     }
   }

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/mapping_strategy.hpp"
 #include "core/policy.hpp"
 #include "util/rng.hpp"
 
@@ -26,6 +27,19 @@ CommMatrix band_matrix(std::uint32_t n) {
   return m;
 }
 
+MappingResult blossom_map(const CommMatrix& matrix,
+                          const arch::Topology& topology,
+                          const sim::Placement& current = {}) {
+  return make_mapping_strategy({})->map(matrix, topology, current);
+}
+
+MappingResult greedy_map(const CommMatrix& matrix,
+                         const arch::Topology& topology) {
+  MappingConfig config;
+  config.strategy = "greedy";
+  return make_mapping_strategy(config)->map(matrix, topology);
+}
+
 void expect_valid_placement(const sim::Placement& p, std::uint32_t contexts) {
   std::set<arch::ContextId> used;
   for (const auto ctx : p) {
@@ -36,7 +50,7 @@ void expect_valid_placement(const sim::Placement& p, std::uint32_t contexts) {
 
 TEST(MapperTest, PlacementIsInjective) {
   const auto topo = xeon();
-  const auto result = compute_mapping(band_matrix(32), topo);
+  const auto result = blossom_map(band_matrix(32), topo);
   expect_valid_placement(result.placement, topo.num_contexts());
   EXPECT_EQ(result.rounds, 5u);  // 32 -> 16 -> 8 -> 4 -> 2 -> 1
 }
@@ -48,7 +62,7 @@ TEST(MapperTest, StrongPairsLandOnSmtSiblings) {
   for (std::uint32_t p = 0; p < 16; ++p) m.add(2 * p, 2 * p + 1, 100000);
   // Light chain between consecutive pairs to order the upper levels.
   for (std::uint32_t p = 0; p + 1 < 16; ++p) m.add(2 * p + 1, 2 * p + 2, 10);
-  const auto result = compute_mapping(m, topo);
+  const auto result = blossom_map(m, topo);
   for (std::uint32_t p = 0; p < 16; ++p) {
     EXPECT_EQ(topo.core_of(result.placement[2 * p]),
               topo.core_of(result.placement[2 * p + 1]))
@@ -58,7 +72,7 @@ TEST(MapperTest, StrongPairsLandOnSmtSiblings) {
 
 TEST(MapperTest, BandMatrixStaysMostlyWithinSockets) {
   const auto topo = xeon();
-  const auto result = compute_mapping(band_matrix(32), topo);
+  const auto result = blossom_map(band_matrix(32), topo);
   // For a chain, the ideal split cuts exactly one link; allow a little
   // slack but far below the ~16 cross links of a communication-oblivious
   // spread.
@@ -75,7 +89,7 @@ TEST(MapperTest, BandMatrixStaysMostlyWithinSockets) {
 TEST(MapperTest, CostOfMappedBandBeatsSpread) {
   const auto topo = xeon();
   const auto m = band_matrix(32);
-  const auto mapped = compute_mapping(m, topo).placement;
+  const auto mapped = blossom_map(m, topo).placement;
   const auto spread = os_spread_placement(topo, 32);
   EXPECT_LT(placement_comm_cost(m, topo, mapped),
             0.5 * placement_comm_cost(m, topo, spread));
@@ -91,8 +105,8 @@ TEST(MapperTest, GreedyIsValidAndWeaklyWorseOrEqual) {
       if (w > 0) m.add(i, j, w);
     }
   }
-  const auto exact = compute_mapping(m, topo).placement;
-  const auto greedy = compute_mapping_greedy(m, topo).placement;
+  const auto exact = blossom_map(m, topo).placement;
+  const auto greedy = greedy_map(m, topo).placement;
   expect_valid_placement(greedy, topo.num_contexts());
   // The matching-based mapper should not be worse than greedy by more
   // than a smidge (it optimizes each level exactly).
@@ -103,10 +117,10 @@ TEST(MapperTest, GreedyIsValidAndWeaklyWorseOrEqual) {
 TEST(MapperTest, AlignmentKeepsEquivalentMappingInPlace) {
   const auto topo = xeon();
   const auto m = band_matrix(32);
-  const auto first = compute_mapping(m, topo).placement;
+  const auto first = blossom_map(m, topo).placement;
   // Remapping with the same matrix and the current placement must not move
   // anything: the grouping is identical and alignment keeps assignments.
-  const auto second = compute_mapping(m, topo, first).placement;
+  const auto second = blossom_map(m, topo, first).placement;
   EXPECT_EQ(first, second);
 }
 
@@ -116,8 +130,8 @@ TEST(MapperTest, AlignmentPreservesQuality) {
   CommMatrix m(32);
   for (std::uint32_t t = 0; t + 1 < 32; ++t) m.add(t, t + 1, 500 + rng.below(100));
   const auto current = random_placement(topo, 32, 99);
-  const auto unaligned = compute_mapping(m, topo).placement;
-  const auto aligned = compute_mapping(m, topo, current).placement;
+  const auto unaligned = blossom_map(m, topo).placement;
+  const auto aligned = blossom_map(m, topo, current).placement;
   expect_valid_placement(aligned, topo.num_contexts());
   EXPECT_NEAR(placement_comm_cost(m, topo, aligned),
               placement_comm_cost(m, topo, unaligned),
@@ -127,11 +141,11 @@ TEST(MapperTest, AlignmentPreservesQuality) {
 TEST(MapperTest, AlignmentMinimizesMovesFromNearOptimal) {
   const auto topo = xeon();
   const auto m = band_matrix(32);
-  const auto optimal = compute_mapping(m, topo).placement;
+  const auto optimal = blossom_map(m, topo).placement;
   // Perturb: swap two threads within the same core (SMT slots).
   auto current = optimal;
   std::swap(current[0], current[1]);
-  const auto re = compute_mapping(m, topo, current).placement;
+  const auto re = blossom_map(m, topo, current).placement;
   std::uint32_t moves = 0;
   for (std::uint32_t t = 0; t < 32; ++t) {
     if (re[t] != current[t]) ++moves;
@@ -143,20 +157,20 @@ TEST(MapperTest, AlignmentMinimizesMovesFromNearOptimal) {
 
 TEST(MapperTest, EmptyMatrixStillProducesValidPlacement) {
   const auto topo = xeon();
-  const auto result = compute_mapping(CommMatrix(32), topo);
+  const auto result = blossom_map(CommMatrix(32), topo);
   expect_valid_placement(result.placement, topo.num_contexts());
 }
 
 TEST(MapperTest, FewerThreadsThanContexts) {
   const auto topo = xeon();
-  const auto result = compute_mapping(band_matrix(8), topo);
+  const auto result = blossom_map(band_matrix(8), topo);
   EXPECT_EQ(result.placement.size(), 8u);
   expect_valid_placement(result.placement, topo.num_contexts());
 }
 
 TEST(MapperTest, OddThreadCount) {
   const auto topo = xeon();
-  const auto result = compute_mapping(band_matrix(7), topo);
+  const auto result = blossom_map(band_matrix(7), topo);
   EXPECT_EQ(result.placement.size(), 7u);
   expect_valid_placement(result.placement, topo.num_contexts());
 }
@@ -165,7 +179,7 @@ TEST(MapperTest, SingleSocketMachine) {
   arch::Topology topo(arch::TopologySpec{.sockets = 1,
                                          .cores_per_socket = 4,
                                          .smt_per_core = 1});
-  const auto result = compute_mapping(band_matrix(4), topo);
+  const auto result = blossom_map(band_matrix(4), topo);
   expect_valid_placement(result.placement, topo.num_contexts());
 }
 

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "core/mapper.hpp"
-#include "core/policy.hpp"
 #include "util/rng.hpp"
 
 namespace spcd::core {
@@ -93,31 +92,6 @@ TEST(MappingStrategyTest, SpcdConfigValidateFoldsMappingKnobs) {
   EXPECT_EQ(config.validate(), "");
   config.mapping.refine_jobs = 1025;
   EXPECT_NE(config.validate(), "");
-}
-
-TEST(MappingStrategyTest, BlossomIsBitIdenticalToTheLegacyFunction) {
-  const auto topo = xeon();
-  const auto m = random_matrix(32, 7);
-  const auto strategy = make_mapping_strategy({});
-  const MappingResult via_api = strategy->map(m, topo);
-  const MappingResult legacy = compute_mapping(m, topo);
-  EXPECT_EQ(via_api.placement, legacy.placement);
-  EXPECT_EQ(via_api.rounds, legacy.rounds);
-
-  // And with a current placement (the placement-stable path).
-  const auto current = random_placement(topo, 32, 3);
-  EXPECT_EQ(strategy->map(m, topo, current).placement,
-            compute_mapping(m, topo, current).placement);
-}
-
-TEST(MappingStrategyTest, GreedyIsBitIdenticalToTheLegacyFunction) {
-  const auto topo = xeon();
-  const auto m = random_matrix(32, 11);
-  MappingConfig config;
-  config.strategy = "greedy";
-  const auto strategy = make_mapping_strategy(config);
-  EXPECT_EQ(strategy->map(m, topo).placement,
-            compute_mapping_greedy(m, topo).placement);
 }
 
 TEST(MappingStrategyTest, EveryStrategyProducesAnInjectivePlacement) {

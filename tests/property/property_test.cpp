@@ -13,6 +13,7 @@
 
 #include "arch/topology.hpp"
 #include "core/mapper.hpp"
+#include "core/mapping_strategy.hpp"
 #include "core/policy.hpp"
 #include "mem/sharing_table.hpp"
 #include "sim/cache.hpp"
@@ -230,7 +231,8 @@ TEST_P(MapperProperty, MappedCostNeverWorseThanSpread) {
       }
     }
   }
-  const auto mapped = core::compute_mapping(matrix, topo).placement;
+  const auto mapped =
+      core::make_mapping_strategy({})->map(matrix, topo).placement;
   std::set<arch::ContextId> used(mapped.begin(), mapped.end());
   ASSERT_EQ(used.size(), mapped.size());
 
@@ -255,8 +257,9 @@ TEST_P(MapperProperty, AlignedRemapOfSameMatrixIsIdempotent) {
       }
     }
   }
-  const auto first = core::compute_mapping(matrix, topo).placement;
-  const auto second = core::compute_mapping(matrix, topo, first).placement;
+  const auto blossom = core::make_mapping_strategy({});
+  const auto first = blossom->map(matrix, topo).placement;
+  const auto second = blossom->map(matrix, topo, first).placement;
   EXPECT_EQ(first, second);
 }
 

@@ -5,13 +5,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "obs/trace.hpp"
 
 namespace spcd::util {
 namespace {
@@ -155,78 +152,6 @@ TEST(ThreadPoolTest, ParallelMapPreservesInputOrder) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(squares[i], static_cast<int>(i * i));
   }
-}
-
-TEST(ThreadPoolTest, JobDecoratorWrapsEveryJob) {
-  std::atomic<int> wrapped{0};
-  std::atomic<int> ran{0};
-  // The decorator runs on the *submitting* thread; the wrapper it returns
-  // runs on whichever worker executes the job.
-  ThreadPool pool(3, [&wrapped](std::function<void()> job) {
-    return [&wrapped, job = std::move(job)] {
-      wrapped++;
-      job();
-    };
-  });
-  for (int i = 0; i < 24; ++i) {
-    pool.submit([&ran] { ran++; });
-  }
-  pool.wait();
-  EXPECT_EQ(wrapped.load(), 24);
-  EXPECT_EQ(ran.load(), 24);
-}
-
-TEST(ThreadPoolTest, JobDecoratorAppliesOnInlineSerialPool) {
-  int wrapped = 0;
-  ThreadPool pool(1, [&wrapped](std::function<void()> job) {
-    return [&wrapped, job = std::move(job)] {
-      ++wrapped;
-      job();
-    };
-  });
-  bool ran = false;
-  pool.submit([&ran] { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(wrapped, 1);
-}
-
-TEST(ThreadPoolTest, BindCurrentSessionCarriesSessionIntoWorkers) {
-  // The engine-shard arrangement: the pool is constructed with
-  // obs::bind_current_session, so jobs submitted from a thread with a
-  // bound session trace into that session even on pool workers (which
-  // otherwise have none — the bug this decorator fixes).
-  obs::TraceConfig config;
-  config.enabled = true;
-  obs::Session session(config);
-  ThreadPool pool(2, obs::bind_current_session);
-  {
-    obs::ScopedSession scope(&session);
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([] {
-        obs::trace_instant("test", "from_worker",
-                           static_cast<util::Cycles>(1));
-      });
-    }
-    pool.wait();
-  }
-  const obs::RunCapture capture = session.capture();
-  EXPECT_EQ(capture.events.size(), 8u);
-  for (const auto& ev : capture.events) {
-    EXPECT_STREQ(ev.name, "from_worker");
-  }
-}
-
-TEST(ThreadPoolTest, BindCurrentSessionWithNoSessionIsSilent) {
-  // Capturing nullptr is valid: the job runs un-instrumented, and it does
-  // NOT inherit whatever session the worker last had bound.
-  ThreadPool pool(2, obs::bind_current_session);
-  std::atomic<int> ran{0};
-  pool.submit([&ran] {
-    EXPECT_EQ(obs::current_session(), nullptr);
-    ran++;
-  });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedJobs) {
