@@ -11,26 +11,21 @@ Topology::Topology(const TopologySpec& spec) : spec_(spec) {
   SPCD_EXPECTS(spec.sockets >= 1);
   SPCD_EXPECTS(spec.cores_per_socket >= 1);
   SPCD_EXPECTS(spec.smt_per_core >= 1);
-}
-
-SocketId Topology::socket_of(ContextId ctx) const {
-  SPCD_EXPECTS(ctx < num_contexts());
-  return ctx / (spec_.cores_per_socket * spec_.smt_per_core);
-}
-
-CoreId Topology::core_of(ContextId ctx) const {
-  SPCD_EXPECTS(ctx < num_contexts());
-  return ctx / spec_.smt_per_core;
+  core_of_ctx_.resize(num_contexts());
+  socket_of_ctx_.resize(num_contexts());
+  socket_of_core_.resize(num_cores());
+  for (ContextId ctx = 0; ctx < num_contexts(); ++ctx) {
+    core_of_ctx_[ctx] = ctx / spec.smt_per_core;
+    socket_of_ctx_[ctx] = ctx / (spec.cores_per_socket * spec.smt_per_core);
+  }
+  for (CoreId core = 0; core < num_cores(); ++core) {
+    socket_of_core_[core] = core / spec.cores_per_socket;
+  }
 }
 
 std::uint32_t Topology::smt_slot_of(ContextId ctx) const {
   SPCD_EXPECTS(ctx < num_contexts());
   return ctx % spec_.smt_per_core;
-}
-
-SocketId Topology::socket_of_core(CoreId core) const {
-  SPCD_EXPECTS(core < num_cores());
-  return core / spec_.cores_per_socket;
 }
 
 std::vector<ContextId> Topology::contexts_of_core(CoreId core) const {

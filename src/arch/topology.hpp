@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/contracts.hpp"
+
 namespace spcd::arch {
 
 /// A hardware context (logical CPU) id. With SMT, a core hosts several.
@@ -36,6 +38,8 @@ enum class Proximity : std::uint8_t {
 /// Immutable topology derived from a TopologySpec. Context ids are laid out
 /// socket-major, then core, then SMT slot:
 ///   ctx = (socket * cores_per_socket + core_in_socket) * smt + smt_slot.
+/// The simulator asks for a context's core and socket on every access, so
+/// the constructor tabulates them: a lookup is one load, not a division.
 class Topology {
  public:
   explicit Topology(const TopologySpec& spec);
@@ -50,10 +54,19 @@ class Topology {
     return num_cores() * spec_.smt_per_core;
   }
 
-  SocketId socket_of(ContextId ctx) const;
-  CoreId core_of(ContextId ctx) const;
+  SocketId socket_of(ContextId ctx) const {
+    SPCD_EXPECTS(ctx < socket_of_ctx_.size());
+    return socket_of_ctx_[ctx];
+  }
+  CoreId core_of(ContextId ctx) const {
+    SPCD_EXPECTS(ctx < core_of_ctx_.size());
+    return core_of_ctx_[ctx];
+  }
   std::uint32_t smt_slot_of(ContextId ctx) const;
-  SocketId socket_of_core(CoreId core) const;
+  SocketId socket_of_core(CoreId core) const {
+    SPCD_EXPECTS(core < socket_of_core_.size());
+    return socket_of_core_[core];
+  }
 
   /// All contexts belonging to a core (SMT siblings), in slot order.
   std::vector<ContextId> contexts_of_core(CoreId core) const;
@@ -82,6 +95,9 @@ class Topology {
 
  private:
   TopologySpec spec_;
+  std::vector<CoreId> core_of_ctx_;       ///< ctx -> core
+  std::vector<SocketId> socket_of_ctx_;   ///< ctx -> socket
+  std::vector<SocketId> socket_of_core_;  ///< core -> socket
 };
 
 }  // namespace spcd::arch

@@ -47,15 +47,20 @@ Cache::InsertResult Cache::insert(std::uint64_t line) {
   std::uint64_t* tags = &tags_[set * ways_];
   std::uint64_t* ticks = &ticks_[set * ways_];
   const std::uint32_t valid = valid_[set];
-  std::uint32_t victim = 0;
+  // The first free way, else the least recently used one. Every valid way
+  // is checked for a duplicate: an invalidation can leave a free way in
+  // front of a live copy of `line`.
+  std::uint32_t victim = ways_;
+  std::uint32_t lru = 0;
   for (std::uint32_t w = 0; w < ways_; ++w) {
     if ((valid & (1u << w)) == 0) {
-      victim = w;
-      break;
+      if (victim == ways_) victim = w;
+      continue;
     }
     SPCD_ASSERT(tags[w] != line);  // caller must probe first
-    if (ticks[w] < ticks[victim]) victim = w;
+    if (ticks[w] < ticks[lru]) lru = w;
   }
+  if (victim == ways_) victim = lru;
   InsertResult result;
   if ((valid & (1u << victim)) != 0) {
     result.evicted = true;

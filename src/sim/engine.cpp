@@ -34,9 +34,38 @@ Engine::Engine(Machine& machine, mem::AddressSpace& address_space,
     ++core_active_[machine_.topology().core_of(ctx)];
     threads_[tid].program = workload.make_thread(tid, /*seed=*/tid);
     SPCD_EXPECTS(threads_[tid].program != nullptr);
-    heap_.push(HeapEntry{0, tid});
+    heap_push(HeapEntry{0, tid});
   }
   active_threads_ = n;
+}
+
+void Engine::heap_push(HeapEntry entry) {
+  heap_.push_back(entry);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+void Engine::heap_pop_root() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  heap_.pop_back();
+}
+
+void Engine::heap_rekey_root(util::Cycles time) {
+  const HeapEntry entry{time, heap_.front().tid};
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
+    if (!(entry > heap_[child])) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = entry;
+}
+
+util::Cycles Engine::heap_runner_up_time() const {
+  if (heap_.size() < 2) return ~0ULL;
+  if (heap_.size() == 2) return heap_[1].time;
+  return std::min(heap_[1].time, heap_[2].time);
 }
 
 void Engine::schedule(util::Cycles when, std::function<void(Engine&)> fn) {
@@ -157,7 +186,7 @@ void Engine::maybe_release_barrier() {
     c.barrier_wait_cycles += release - barrier_arrival_[tid];
     t.time = release;
     t.state = ThreadState::kRunnable;
-    heap_.push(HeapEntry{t.time, tid});
+    heap_push(HeapEntry{t.time, tid});
   }
   barrier_waiting_ = 0;
 }
@@ -217,13 +246,17 @@ void Engine::charge_mapping(util::Cycles cycles, ThreadId victim_tid) {
 }
 
 void Engine::run() {
+  // The earliest thread runs from the heap's root without leaving it. While
+  // it runs, the root's key is stale (nothing reads it); when the thread
+  // yields, the root is re-keyed with one sift-down instead of a pop and a
+  // push. The thread leaves the heap only at a barrier or its finish.
   while (!heap_.empty()) {
     // Epoch heartbeat: fires on the simulated clock, so boundaries land at
     // identical points of every run.
     advance_epochs();
 
     // Kernel events due before the next thread step run first.
-    if (!events_.empty() && events_.top().time <= heap_.top().time) {
+    if (!events_.empty() && events_.top().time <= heap_.front().time) {
       // The queue is not stable under in-callback scheduling; copy out.
       Event ev = events_.top();
       events_.pop();
@@ -232,9 +265,7 @@ void Engine::run() {
       continue;
     }
 
-    const HeapEntry entry = heap_.top();
-    heap_.pop();
-    const ThreadId tid = entry.tid;
+    const ThreadId tid = heap_.front().tid;
     Thread& t = threads_[tid];
     SPCD_ASSERT(t.state == ThreadState::kRunnable);
     now_ = std::max(now_, t.time);
@@ -243,8 +274,8 @@ void Engine::run() {
       t.time += t.pending_charge;
       t.pending_charge = 0;
       // Re-sort if the thread is no longer the minimum.
-      if (!heap_.empty() && t.time > heap_.top().time) {
-        heap_.push(HeapEntry{t.time, tid});
+      if (t.time > heap_runner_up_time()) {
+        heap_rekey_root(t.time);
         continue;
       }
     }
@@ -257,29 +288,26 @@ void Engine::run() {
 
     // Execute ops while this thread remains the globally earliest and no
     // kernel event is due, bounded to keep event latency low.
-    const util::Cycles heap_limit =
-        heap_.empty() ? ~0ULL : heap_.top().time;
     const util::Cycles event_limit =
         events_.empty() ? ~0ULL : events_.top().time;
-    const util::Cycles limit = std::min(heap_limit, event_limit);
+    const util::Cycles limit = std::min(heap_runner_up_time(), event_limit);
 
     for (int batch = 0; batch < 64; ++batch) {
       const Op op = t.program->next();
       if (op.kind == OpKind::kBarrier) {
+        heap_pop_root();
         arrive_at_barrier(tid);
         break;
       }
       if (op.kind == OpKind::kFinish) {
+        heap_pop_root();
         finish_thread(tid);
         break;
       }
       execute_op(tid, op);
-      if (t.time > limit || t.pending_charge != 0) {
-        heap_.push(HeapEntry{t.time, tid});
+      if (t.time > limit || t.pending_charge != 0 || batch == 63) {
+        heap_rekey_root(t.time);
         break;
-      }
-      if (batch == 63) {
-        heap_.push(HeapEntry{t.time, tid});
       }
     }
   }

@@ -2,7 +2,8 @@
 // hardware contexts, advancing per-thread cycle clocks by the latency of
 // each operation. Threads are executed in smallest-local-time order
 // (min-heap), which yields realistic interleavings for the coherence model
-// without a global lock-step.
+// without a global lock-step. The running thread stays at the heap's root
+// and is re-keyed in place when it yields (see run()).
 //
 // The engine also hosts "kernel" activity on the same clock:
 //   * scheduled events (the SPCD injector's periodic wake-ups, the mapping
@@ -136,6 +137,8 @@ class Engine {
     ThreadState state = ThreadState::kRunnable;
   };
 
+  /// Keys are unique (one entry per thread), so the pop order is the same
+  /// for any valid heap layout.
   struct HeapEntry {
     util::Cycles time;
     ThreadId tid;
@@ -156,6 +159,16 @@ class Engine {
   };
 
   void execute_op(ThreadId tid, const Op& op);
+
+  // Min-heap of runnable threads in heap_ (std::greater order).
+  void heap_push(HeapEntry entry);
+  void heap_pop_root();
+  /// Give the root a later time and sift it down to its place.
+  void heap_rekey_root(util::Cycles time);
+  /// Earliest time of any runnable thread but the root's (its smaller
+  /// child), or ~0 when the root is alone.
+  util::Cycles heap_runner_up_time() const;
+
   void arrive_at_barrier(ThreadId tid);
   void finish_thread(ThreadId tid);
   void maybe_release_barrier();
@@ -172,9 +185,7 @@ class Engine {
   std::vector<std::uint32_t> core_active_; // running threads per core
 
   std::vector<Thread> threads_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap_;
+  std::vector<HeapEntry> heap_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
   std::uint64_t event_seq_ = 0;
 

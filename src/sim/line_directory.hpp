@@ -75,12 +75,21 @@ class LineMap {
     for (std::size_t i = index_of(key);; i = (i + 1) & mask_) {
       if (slots_[i].key == kEmpty) return;
       if (slots_[i].key == stored) {
-        slots_[i].key = kTomb;
-        ++tombs_;
-        --size_;
+        bury(i);
         return;
       }
     }
+  }
+
+  /// Erase the entry whose value `find` or `operator[]` returned, without
+  /// probing for its key again.
+  void erase(Value* value) {
+    const auto offset = reinterpret_cast<const char*>(value) -
+                        reinterpret_cast<const char*>(slots_.data());
+    const auto i = static_cast<std::size_t>(offset) / sizeof(Slot);
+    SPCD_EXPECTS(i < slots_.size() && &slots_[i].value == value &&
+                 slots_[i].key >= kBias);
+    bury(i);
   }
 
   template <typename Fn>
@@ -107,6 +116,12 @@ class LineMap {
     std::size_t cap = 1024;
     while (cap < expected * 2) cap *= 2;
     return cap;
+  }
+
+  void bury(std::size_t i) {
+    slots_[i].key = kTomb;
+    ++tombs_;
+    --size_;
   }
 
   std::size_t index_of(std::uint64_t key) const {

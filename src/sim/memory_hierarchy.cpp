@@ -78,7 +78,9 @@ void MemoryHierarchy::evict_from_core(arch::CoreId core,
   if (st->dirty_core == static_cast<std::int16_t>(core)) {
     st->dirty_core = -1;  // write-back on eviction
   }
-  erase_if_untracked(victim);
+  // The inclusive L3 still holds the victim on this core's socket, so the
+  // line stays tracked: an L2 eviction never empties a directory entry.
+  SPCD_ASSERT(st->l3_mask != 0);
 }
 
 void MemoryHierarchy::evict_from_l3(arch::SocketId socket,
@@ -100,14 +102,7 @@ void MemoryHierarchy::evict_from_l3(arch::SocketId socket,
     if (st.dirty_core == static_cast<std::int16_t>(core)) st.dirty_core = -1;
   }
   st.l3_mask = static_cast<std::uint8_t>(st.l3_mask & ~bit(socket));
-  erase_if_untracked(victim);
-}
-
-void MemoryHierarchy::erase_if_untracked(std::uint64_t line) {
-  const LineState* st = directory_.find(line);
-  if (st != nullptr && st->core_mask == 0 && st->l3_mask == 0) {
-    directory_.erase(line);
-  }
+  if (st.core_mask == 0 && st.l3_mask == 0) directory_.erase(found);
 }
 
 std::uint32_t MemoryHierarchy::access(arch::ContextId ctx, std::uint64_t line,

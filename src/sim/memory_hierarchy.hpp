@@ -76,10 +76,9 @@ class MemoryHierarchy {
   void evict_from_core(arch::CoreId core, std::uint64_t victim);
 
   /// Drop a victim line from a socket's L3, back-invalidating that socket's
-  /// private caches (inclusive L3).
+  /// private caches (inclusive L3), and stop tracking it once no cache
+  /// holds it.
   void evict_from_l3(arch::SocketId socket, std::uint64_t victim);
-
-  void erase_if_untracked(std::uint64_t line);
 
   /// Serial-server queue: request at `now`, service takes `occupancy`.
   /// Returns the queueing delay and advances the server.

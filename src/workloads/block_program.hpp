@@ -18,6 +18,12 @@ class BlockProgram : public sim::ThreadProgram {
       pos_ = 0;
       if (!fill(block_)) return sim::Op::finish();
     }
+    // A block (thousands of ops) leaves the host's caches while the other
+    // threads take their turns, so each op read would be a cache miss:
+    // request the one a few slots ahead now.
+    if (pos_ + kLookahead < block_.size()) {
+      __builtin_prefetch(&block_[pos_ + kLookahead]);
+    }
     return block_[pos_++];
   }
 
@@ -27,6 +33,8 @@ class BlockProgram : public sim::ThreadProgram {
   virtual bool fill(std::vector<sim::Op>& out) = 0;
 
  private:
+  static constexpr std::size_t kLookahead = 8;
+
   std::vector<sim::Op> block_;
   std::size_t pos_ = 0;
 };

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "arch/machine_spec.hpp"
+
 namespace spcd::arch {
 namespace {
 
@@ -115,6 +117,42 @@ TEST(TopologyTest, DescribeMentionsAllCoordinates) {
 TEST(TopologyDeathTest, OutOfRangeContextAborts) {
   const auto t = xeon();
   EXPECT_DEATH((void)t.socket_of(32), "Precondition");
+  EXPECT_DEATH((void)t.core_of(32), "Precondition");
+  EXPECT_DEATH((void)t.smt_slot_of(32), "Precondition");
+  EXPECT_DEATH((void)t.socket_of_core(16), "Precondition");  // core 16
+}
+
+/// Every lookup of every context against the socket-major layout formula.
+void expect_socket_major(const TopologySpec& spec) {
+  const Topology t(spec);
+  const std::uint32_t per_socket = spec.cores_per_socket * spec.smt_per_core;
+  for (ContextId ctx = 0; ctx < t.num_contexts(); ++ctx) {
+    ASSERT_EQ(t.core_of(ctx), ctx / spec.smt_per_core) << "ctx " << ctx;
+    ASSERT_EQ(t.socket_of(ctx), ctx / per_socket) << "ctx " << ctx;
+    ASSERT_EQ(t.smt_slot_of(ctx), ctx % spec.smt_per_core) << "ctx " << ctx;
+  }
+  for (CoreId core = 0; core < t.num_cores(); ++core) {
+    ASSERT_EQ(t.socket_of_core(core), core / spec.cores_per_socket)
+        << "core " << core;
+  }
+}
+
+TEST(TopologyTest, LookupsFollowTheLayoutOnEveryShape) {
+  // Every preset, up to 2,048 contexts, and a shape with no power-of-two
+  // dimension.
+  MachineSpec odd = tiny_test_machine();
+  odd.name = "3 x 6 x 3";
+  odd.topology = TopologySpec{.sockets = 3, .cores_per_socket = 6,
+                              .smt_per_core = 3};
+  const MachineSpec shapes[] = {
+      dual_xeon_e5_2650(), tiny_test_machine(), single_socket_machine(),
+      quad_socket_numa(),  octo_socket_numa(),  octo_socket_numa_smt4(),
+      odd};
+  for (const MachineSpec& m : shapes) {
+    SCOPED_TRACE(m.name);
+    expect_socket_major(m.topology);
+  }
+  EXPECT_EQ(Topology(octo_socket_numa_smt4().topology).num_contexts(), 2048u);
 }
 
 TEST(TopologyTest, NumaHopsIsRingDistance) {

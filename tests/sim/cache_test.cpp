@@ -126,6 +126,16 @@ TEST(CacheDeathTest, DoubleInsertAborts) {
   EXPECT_DEATH(c.insert(5), "Invariant");
 }
 
+TEST(CacheDeathTest, DoubleInsertBehindAnInvalidatedWayAborts) {
+  Cache c(tiny());
+  c.insert(1);  // set 1, way 0
+  c.insert(3);  // set 1, way 1
+  ASSERT_TRUE(c.invalidate(1));
+  // Way 0 is free now, but 3 is still valid in way 1: the duplicate check
+  // must look past the first free way.
+  EXPECT_DEATH(c.insert(3), "Invariant");
+}
+
 TEST(CacheDeathTest, BadGeometryAborts) {
   EXPECT_DEATH(Cache(arch::CacheGeometry{.size_bytes = 100,
                                          .associativity = 3,

@@ -79,11 +79,21 @@ TEST(LineMapTest, RandomWalkMatchesUnorderedMap) {
       ++growth_rehashes;
     }
   };
+  // Even keys are erased through the pointer `find` returns, the way the
+  // directory drops a victim it already looked up; odd keys by key.
+  int pointer_erases = 0;
   auto erase_live = [&](std::size_t index) {
     const std::uint64_t key = live[index];
     live[index] = live.back();
     live.pop_back();
-    map.erase(key);
+    if (key % 2 == 0) {
+      std::uint64_t* value = map.find(key);
+      ASSERT_NE(value, nullptr) << "key " << key;
+      map.erase(value);
+      ++pointer_erases;
+    } else {
+      map.erase(key);
+    }
     ref.erase(key);
     EXPECT_EQ(map.find(key), nullptr);
   };
@@ -137,17 +147,24 @@ TEST(LineMapTest, RandomWalkMatchesUnorderedMap) {
   EXPECT_EQ(contents(map), expected);
   EXPECT_GT(growth_rehashes, 0);
   EXPECT_GT(tombstone_rehashes, 0);
+  EXPECT_GT(pointer_erases, 1'000);
 }
 
 TEST(LineMapTest, HeldReferenceSurvivesErasesOfOtherKeys) {
   // MemoryHierarchy::access keeps the accessed line's state by reference
-  // while evicting victims: erase must never move another key's slot.
+  // while evicting victims: neither erase may move another key's slot.
   Map map;
   constexpr std::uint64_t kHeld = 300;
   for (std::uint64_t key = 0; key < 600; ++key) map[key] = key;
   std::uint64_t& held = map[kHeld];
   for (std::uint64_t key = 0; key < 600; ++key) {
-    if (key != kHeld) map.erase(key);
+    if (key == kHeld) continue;
+    if (key % 2 == 0) {
+      map.erase(map.find(key));
+    } else {
+      map.erase(key);
+    }
+    ASSERT_EQ(map.find(kHeld), &held) << "after erasing " << key;
   }
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(held, kHeld);
