@@ -7,18 +7,18 @@
 #include <cstdio>
 #include <optional>
 
+#include "bench/pipeline.hpp"
 #include "core/os_scheduler.hpp"
 #include "core/policy.hpp"
 #include "core/spcd_kernel.hpp"
 #include "sim/machine.hpp"
-#include "util/env.hpp"
 #include "util/heatmap.hpp"
 #include "workloads/prodcons.hpp"
 
 int main() {
   using namespace spcd;
 
-  const double scale = util::env_double("SPCD_SCALE", 1.0);
+  const double scale = bench::configured_scale();
   workloads::ProdConsParams params;
   params.iterations_per_phase =
       static_cast<std::uint32_t>(30 * scale) ? static_cast<std::uint32_t>(

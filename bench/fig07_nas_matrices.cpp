@@ -3,8 +3,8 @@
 // (Pearson correlation) against the full-trace oracle matrix.
 #include <cstdio>
 
+#include "bench/pipeline.hpp"
 #include "core/runner.hpp"
-#include "util/env.hpp"
 #include "util/heatmap.hpp"
 #include "workloads/npb.hpp"
 
@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
       names.push_back(info.name);
     }
   }
-  const double scale = util::env_double("SPCD_SCALE", 1.0);
+  const double scale = bench::configured_scale();
 
   core::RunnerConfig config;
   config.repetitions = 1;

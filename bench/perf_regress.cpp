@@ -4,22 +4,17 @@
 // mapping) with fixed seeds, reports ns/op per kernel, and emits a
 // machine-readable BENCH_*.json ("spcd-bench-v1" schema).
 //
-// Unlike the google-benchmark micros, this harness is also a *correctness*
-// gate: every kernel folds its results into a deterministic FNV-1a
-// checksum which must match the reference value recorded from the
-// oracle-checked pre-optimization build. Any hot-path "optimization" that
-// changes a result — a different partner, a different placement, a
-// different finish time — flips the checksum and the harness exits
-// nonzero. Performance may drift with the host; results may not.
+// The harness is a *correctness* gate: every kernel folds its results into
+// a deterministic FNV-1a checksum which must match the reference value
+// recorded from the oracle-checked pre-optimization build. Any hot-path
+// "optimization" that changes a result — a different partner, a different
+// placement, a different finish time — flips the checksum and the harness
+// exits nonzero. Performance may drift with the host; results may not.
 //
 // Usage:
-//   perf_regress [--out FILE] [--baseline FILE] [--repeats N]
-//                [--print-checksums]
+//   perf_regress [--out FILE] [--repeats N] [--print-checksums]
 //     --out FILE         write the spcd-bench-v1 JSON (default: stdout
 //                        summary only)
-//     --baseline FILE    two-column text file "<kernel> <ns_per_op>" with
-//                        pre-change timings; adds baseline_ns_per_op and
-//                        speedup fields to the JSON
 //     --repeats N        timing repetitions per kernel, best-of (default 5)
 //     --print-checksums  print the measured checksums (to record a new
 //                        reference after an intentional behavior change)
@@ -30,7 +25,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -404,17 +398,7 @@ KernelResult run_engine_oracle(int repeats) {
 
 // --- output ---------------------------------------------------------------
 
-std::map<std::string, double> load_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string name;
-  double ns = 0.0;
-  while (in >> name >> ns) out[name] = ns;
-  return out;
-}
-
-std::string to_json(const std::vector<KernelResult>& results,
-                    const std::map<std::string, double>& baseline) {
+std::string to_json(const std::vector<KernelResult>& results) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value("spcd-bench-v1");
@@ -432,12 +416,6 @@ std::string to_json(const std::vector<KernelResult>& results,
     for (const auto& [key, value] : r.extras) {
       w.key(key).value(value);
     }
-    const auto it = baseline.find(r.name);
-    if (it != baseline.end()) {
-      w.key("baseline_ns_per_op").value(it->second);
-      w.key("speedup").value(r.ns_per_op > 0.0 ? it->second / r.ns_per_op
-                                               : 0.0);
-    }
     w.end_object();
   }
   w.end_array();
@@ -449,7 +427,6 @@ std::string to_json(const std::vector<KernelResult>& results,
 
 int main(int argc, char** argv) {
   std::string out_path;
-  std::string baseline_path;
   int repeats = 5;
   bool print_checksums = false;
   for (int i = 1; i < argc; ++i) {
@@ -463,23 +440,17 @@ int main(int argc, char** argv) {
     };
     if (arg == "--out") {
       out_path = value();
-    } else if (arg == "--baseline") {
-      baseline_path = value();
     } else if (arg == "--repeats") {
       repeats = std::max(1, std::atoi(value()));
     } else if (arg == "--print-checksums") {
       print_checksums = true;
     } else {
       std::fprintf(stderr,
-                   "usage: perf_regress [--out FILE] [--baseline FILE] "
-                   "[--repeats N] [--print-checksums]\n");
+                   "usage: perf_regress [--out FILE] [--repeats N] "
+                   "[--print-checksums]\n");
       return 2;
     }
   }
-
-  const std::map<std::string, double> baseline =
-      baseline_path.empty() ? std::map<std::string, double>{}
-                            : load_baseline(baseline_path);
 
   std::vector<KernelResult> results;
   results.push_back(run_sharing_table(repeats));
@@ -491,16 +462,8 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   for (const auto& r : results) {
-    const auto it = baseline.find(r.name);
-    if (it != baseline.end()) {
-      std::printf("%-22s %10.2f ns/op  (baseline %10.2f, speedup %.2fx)  %s\n",
-                  r.name.c_str(), r.ns_per_op, it->second,
-                  it->second / r.ns_per_op,
-                  r.checksum_ok() ? "ok" : "CHECKSUM MISMATCH");
-    } else {
-      std::printf("%-22s %10.2f ns/op  %s\n", r.name.c_str(), r.ns_per_op,
-                  r.checksum_ok() ? "ok" : "CHECKSUM MISMATCH");
-    }
+    std::printf("%-22s %10.2f ns/op  %s\n", r.name.c_str(), r.ns_per_op,
+                r.checksum_ok() ? "ok" : "CHECKSUM MISMATCH");
     if (print_checksums) {
       std::printf("  checksum %s = 0x%016llx\n", r.name.c_str(),
                   static_cast<unsigned long long>(r.checksum));
@@ -510,7 +473,7 @@ int main(int argc, char** argv) {
 
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << to_json(results, baseline)).flush()) {
+    if (!out || !(out << to_json(results)).flush()) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
       return 1;
     }

@@ -94,11 +94,15 @@ std::string cache_trailer(const std::string& payload) {
 
 // --- graceful shutdown -----------------------------------------------------
 // SIGINT/SIGTERM set a flag; the supervisor's monitor thread polls it and
-// stops dispatching. Nothing async-signal-unsafe happens in the handler.
+// stops dispatching. The flag is written by the handler and read on another
+// thread: a lock-free atomic is both async-signal-safe and race-free.
 
-volatile std::sig_atomic_t g_stop_signal = 0;
+std::atomic<int> g_stop_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
-void stop_signal_handler(int sig) { g_stop_signal = sig; }
+void stop_signal_handler(int sig) {
+  g_stop_signal.store(sig, std::memory_order_relaxed);
+}
 
 /// Installs the graceful-stop handlers for the duration of a sweep and
 /// restores whatever was there before (so library users and tests are not
@@ -107,7 +111,7 @@ class SignalGuard {
  public:
   explicit SignalGuard(bool install) : installed_(install) {
     if (!installed_) return;
-    g_stop_signal = 0;
+    g_stop_signal.store(0, std::memory_order_relaxed);
     struct sigaction sa;
     std::memset(&sa, 0, sizeof sa);
     sa.sa_handler = stop_signal_handler;
@@ -416,7 +420,9 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
   // always describes a fully published result.
   util::SupervisorConfig sup_config = util::SupervisorConfig::from_env();
   if (options.handle_signals) {
-    sup_config.stop_poll = [] { return g_stop_signal != 0; };
+    sup_config.stop_poll = [] {
+      return g_stop_signal.load(std::memory_order_relaxed) != 0;
+    };
   }
   SignalGuard signal_guard(options.handle_signals);
   util::Supervisor supervisor(options.jobs, sup_config, config.base_seed);

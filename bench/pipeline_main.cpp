@@ -56,10 +56,7 @@ int main(int argc, char** argv) {
         args.fail("%s\n", "--reps must be at least 1");
       }
     } else if (args.is("--scale")) {
-      options.scale = args.real();
-      if (options.scale <= 0.0) {
-        args.fail("%s\n", "--scale must be positive");
-      }
+      options.scale = args.positive_real();
     } else if (args.is("--jobs")) {
       options.jobs = args.u32();
     } else if (args.is("--mapper")) {

@@ -104,7 +104,7 @@ int run(int argc, char** argv) {
     } else if (args.is("--jobs")) {
       config.jobs = args.u32();
     } else if (args.is("--scale")) {
-      scale = args.real();
+      scale = args.positive_real();
     } else if (args.is("--granularity")) {
       config.spcd.table.granularity_shift =
           static_cast<unsigned>(args.u64());

@@ -25,10 +25,6 @@
 
 namespace spcd::mem {
 
-/// Collision handling policy. The paper uses overwrite; chaining exists for
-/// the ablation study (DESIGN.md S5.1).
-enum class CollisionPolicy : std::uint8_t { kOverwrite, kChain };
-
 struct SharingTableConfig {
   std::uint64_t num_entries = 256000;
   /// log2 of the detection granularity in bytes (default 4 KiB like the
@@ -37,7 +33,6 @@ struct SharingTableConfig {
   /// Accesses farther apart than this window are not communication.
   /// 0 disables the temporal filter.
   util::Cycles time_window = 0;
-  CollisionPolicy collision_policy = CollisionPolicy::kOverwrite;
   /// Sharers remembered per region; the kernel module bounds this so an
   /// entry stays ~72 bytes. The oldest sharer is evicted when full.
   std::uint32_t max_sharers = 8;
@@ -107,8 +102,8 @@ class SharingTable {
   }
 
   /// Graceful degradation for a saturated table: evict entries whose most
-  /// recent access is older than `now - window` (and stale whole overflow
-  /// chains in chained mode). Returns the number of entries evicted.
+  /// recent access is older than `now - window`. Returns the number of
+  /// entries evicted.
   std::uint64_t age(util::Cycles now, util::Cycles window);
 
   /// Drop every entry but keep the cumulative statistics (unlike clear()),
@@ -158,8 +153,6 @@ class SharingTable {
   /// ceil(2^64 / num_entries), for divide-free modulo in bucket_of.
   std::uint64_t bucket_magic_ = 0;
   std::vector<Entry> table_;
-  // Chained mode keeps per-bucket overflow lists (ablation only).
-  std::vector<std::vector<Entry>> overflow_;
   BucketHook bucket_hook_;
   EvictionHook eviction_hook_;
 

@@ -14,12 +14,13 @@
 //   util::CliArgs args(argc, argv, kUsage);
 //   while (args.next()) {
 //     if (args.is("--reps")) reps = args.u32();
-//     else if (args.is("--scale")) scale = args.real();
+//     else if (args.is("--scale")) scale = args.positive_real();
 //     else if (args.help()) return 0;
 //     else args.unknown();
 //   }
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -73,6 +74,16 @@ class CliArgs {
     const double v = std::strtod(text, &end);
     if (*text == '\0' || end == text || *end != '\0') {
       fail("%s is not a number\n", (arg_ + "=" + text).c_str());
+    }
+    return v;
+  }
+
+  /// Strict floating-point value that must also be finite and positive
+  /// (a workload scale): "--scale 0", "-1", "nan" and "inf" exit 2.
+  double positive_real() {
+    const double v = real();
+    if (!(v > 0.0) || !std::isfinite(v)) {
+      fail("%s must be a finite positive number\n", arg_.c_str());
     }
     return v;
   }

@@ -46,11 +46,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return parse_u64(name, &value) == ParseState::kOk ? value : fallback;
 }
 
-double env_double(const char* name, double fallback) {
-  double value = 0.0;
-  return parse_double(name, &value) == ParseState::kOk ? value : fallback;
-}
-
 std::uint64_t env_u64_clamped(const char* name, std::uint64_t fallback,
                               std::uint64_t lo, std::uint64_t hi) {
   std::uint64_t value = 0;

@@ -11,9 +11,6 @@ namespace spcd::util {
 /// values fall back.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
-/// Floating-point environment variable with a default.
-double env_double(const char* name, double fallback);
-
 /// Like env_u64, but hardened: a malformed value falls back and an
 /// out-of-range value is clamped to [lo, hi] — both with a one-line
 /// warning, never silently. The fallback itself is returned untouched when

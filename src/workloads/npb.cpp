@@ -1,7 +1,9 @@
 #include "workloads/npb.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
+#include "util/contracts.hpp"
 #include "workloads/alltoall_kernel.hpp"
 #include "workloads/datacube_kernel.hpp"
 #include "workloads/domain_kernel.hpp"
@@ -42,6 +44,9 @@ std::uint32_t scaled(std::uint32_t iterations, double scale) {
 
 std::unique_ptr<sim::Workload> make_nas(const std::string& name,
                                         std::uint64_t seed, double scale) {
+  // scaled() casts iterations * scale to an integer, which a negative or
+  // NaN scale would make undefined.
+  SPCD_EXPECTS(scale > 0 && std::isfinite(scale));
   // Block-tridiagonal solver: strong +-1 neighbor communication, balanced
   // compute; one of the big winners in the paper (-8.8% time).
   if (name == "bt") {
@@ -184,6 +189,7 @@ std::unique_ptr<sim::Workload> make_nas(const std::string& name,
 
 std::unique_ptr<sim::Workload> make_prodcons(std::uint64_t seed,
                                              double scale) {
+  SPCD_EXPECTS(scale > 0 && std::isfinite(scale));
   ProdConsParams p;
   p.iterations_per_phase = scaled(30, scale);
   return std::make_unique<ProducerConsumer>(p, seed);

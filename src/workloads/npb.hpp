@@ -28,7 +28,8 @@ struct BenchmarkInfo {
 const std::vector<BenchmarkInfo>& nas_benchmarks();
 
 /// Instantiate a benchmark by name. `scale` multiplies the iteration count
-/// (1.0 = default length); throws std::invalid_argument on unknown names.
+/// (1.0 = default length) and must be finite and positive; throws
+/// std::invalid_argument on unknown names.
 std::unique_ptr<sim::Workload> make_nas(const std::string& name,
                                         std::uint64_t seed,
                                         double scale = 1.0);

@@ -1,23 +1,41 @@
-// The CLI error contract: any malformed input — unknown flag or policy,
-// invalid configuration — makes spcdsim exit with code 2 (see ConfigError
-// in core/spcd_config.hpp). The binary path is injected by CMake as
-// SPCDSIM_BINARY.
+// The CLI error contract: any malformed input — unknown flag, policy or
+// mapper, malformed or out-of-range value, invalid configuration — makes
+// spcdsim and spcd_pipeline exit with code 2 (see ConfigError in
+// core/spcd_config.hpp and util::CliArgs). The binary paths are injected by
+// CMake as SPCDSIM_BINARY and SPCD_PIPELINE_BINARY.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
-#include <cstdlib>
+#include <cstdio>
 #include <string>
 
 namespace {
 
-int exit_code_of(const std::string& args) {
-  const std::string cmd =
-      std::string(SPCDSIM_BINARY) + " " + args + " >/dev/null 2>&1";
-  const int status = std::system(cmd.c_str());
-  EXPECT_NE(status, -1);
+/// Runs `binary args` and returns its exit code. Its stdout and stderr are
+/// captured into *output when given, and discarded otherwise.
+int exit_code_of(const char* binary, const std::string& args,
+                 std::string* output = nullptr) {
+  const std::string cmd = std::string(binary) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr);
+  if (pipe == nullptr) return -1;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
+    if (output != nullptr) output->append(buf, n);
+  }
+  const int status = ::pclose(pipe);
   EXPECT_TRUE(WIFEXITED(status));
   return WEXITSTATUS(status);
 }
+
+int exit_code_of(const std::string& args) {
+  return exit_code_of(SPCDSIM_BINARY, args);
+}
+
+// Values a workload scale must reject: the cast of iterations * scale is
+// undefined for -1, NaN and infinity, and 0 is no workload at all.
+constexpr const char* kBadScales[] = {"-1", "0", "nan", "inf"};
 
 TEST(CliExitCodeTest, InvalidSpcdConfigExitsTwo) {
   // extra_fault_ratio must be in (0, 1]: rejected by SpcdConfig::validate()
@@ -32,10 +50,37 @@ TEST(CliExitCodeTest, UnknownPolicyExitsTwo) {
 
 TEST(CliExitCodeTest, UnknownFlagExitsTwo) {
   EXPECT_EQ(exit_code_of("--frobnicate"), 2);
+  EXPECT_EQ(exit_code_of("--bogus-flag"), 2);
 }
 
 TEST(CliExitCodeTest, HelpExitsZero) {
   EXPECT_EQ(exit_code_of("--help"), 0);
 }
+
+TEST(CliExitCodeTest, MalformedValueExitsTwo) {
+  EXPECT_EQ(exit_code_of("--reps notanumber"), 2);
+}
+
+TEST(CliExitCodeTest, UnknownMapperExitsTwoListingTheRegistry) {
+  std::string output;
+  EXPECT_EQ(exit_code_of(SPCDSIM_BINARY, "--mapper bogus", &output), 2);
+  EXPECT_NE(output.find("blossom|greedy|hierarchical"), std::string::npos)
+      << output;
+}
+
+TEST(CliExitCodeTest, BadScaleExitsTwo) {
+  for (const char* scale : kBadScales) {
+    EXPECT_EQ(exit_code_of(std::string("--scale ") + scale), 2) << scale;
+  }
+}
+
+#ifdef SPCD_PIPELINE_BINARY
+TEST(CliExitCodeTest, PipelineBadScaleExitsTwo) {
+  for (const char* scale : kBadScales) {
+    const std::string args = std::string("--scale ") + scale;
+    EXPECT_EQ(exit_code_of(SPCD_PIPELINE_BINARY, args), 2) << scale;
+  }
+}
+#endif
 
 }  // namespace

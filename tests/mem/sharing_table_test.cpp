@@ -105,17 +105,6 @@ TEST(SharingTableTest, CollisionOverwriteDropsOldRegion) {
   EXPECT_EQ(e.partner_count, 0u);
 }
 
-TEST(SharingTableTest, CollisionChainKeepsBothRegions) {
-  SharingTableConfig c = small_config();
-  c.num_entries = 1;
-  c.collision_policy = CollisionPolicy::kChain;
-  SharingTable st(c);
-  st.record_access(0x1000, 0, 10);
-  st.record_access(0x2000, 1, 20);
-  const auto e = st.record_access(0x1000, 2, 30);
-  EXPECT_EQ(partners_of(e), (std::vector<std::uint32_t>{0}));
-}
-
 TEST(SharingTableTest, SharerListEvictsOldestWhenFull) {
   SharingTableConfig c = small_config();
   c.max_sharers = 2;

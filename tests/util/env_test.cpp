@@ -26,18 +26,6 @@ TEST(EnvTest, U64RejectsGarbage) {
   ::unsetenv("SPCD_TEST_ENV_U64");
 }
 
-TEST(EnvTest, DoubleParsesValue) {
-  ::setenv("SPCD_TEST_ENV_D", "0.25", 1);
-  EXPECT_DOUBLE_EQ(env_double("SPCD_TEST_ENV_D", 1.0), 0.25);
-  ::unsetenv("SPCD_TEST_ENV_D");
-}
-
-TEST(EnvTest, DoubleRejectsGarbage) {
-  ::setenv("SPCD_TEST_ENV_D", "abc", 1);
-  EXPECT_DOUBLE_EQ(env_double("SPCD_TEST_ENV_D", 1.5), 1.5);
-  ::unsetenv("SPCD_TEST_ENV_D");
-}
-
 TEST(EnvTest, U64ClampedClampsOutOfRangeValues) {
   ::setenv("SPCD_TEST_ENV_U64", "0", 1);
   EXPECT_EQ(env_u64_clamped("SPCD_TEST_ENV_U64", 10, 1, 1024), 1u);
