@@ -9,12 +9,9 @@
 // >= 0.5 the hardened penalty must be strictly smaller.
 //
 // Environment knobs (on top of the usual SPCD_ABLATION_SCALE):
-//   SPCD_ADVERSARIAL_BENCHES      comma-separated NAS benchmarks
-//                                 (default cg,sp)
-//   SPCD_ADVERSARIAL_CSV          per-cell CSV path
-//                                 (default ablation_adversarial.csv)
-//   SPCD_ADVERSARIAL_SUMMARY_CSV  summary CSV path
-//                                 (default ablation_adversarial_summary.csv)
+//   SPCD_ADVERSARIAL_BENCHES  comma-separated NAS benchmarks (default cg,sp)
+// The CSVs are ablation_adversarial.csv and ablation_adversarial_summary.csv
+// in SPCD_OUT_DIR.
 #include <array>
 #include <cstdio>
 #include <string>
@@ -166,14 +163,9 @@ int main() {
     }
   }
 
-  bench::write_csv_file(
-      util::out_path(util::env_string("SPCD_ADVERSARIAL_CSV",
-                                      "ablation_adversarial.csv")),
-      csv);
-  bench::write_csv_file(
-      util::out_path(util::env_string("SPCD_ADVERSARIAL_SUMMARY_CSV",
-                                      "ablation_adversarial_summary.csv")),
-      summary);
+  bench::write_csv_file(util::out_path("ablation_adversarial.csv"), csv);
+  bench::write_csv_file(util::out_path("ablation_adversarial_summary.csv"),
+                        summary);
 
   std::printf("\nExpectation: with the defenses off the attacks inflate "
               "execution time (mis-mapping penalty); with them on the "

@@ -18,7 +18,7 @@
 namespace spcd::bench {
 
 /// Split a comma-separated list ("cg,mg,sp") into its non-empty items —
-/// the parser behind every SPCD_*_BENCHES-style knob.
+/// the parser behind SPCD_ADVERSARIAL_BENCHES.
 inline std::vector<std::string> split_csv_list(const std::string& csv) {
   std::vector<std::string> items;
   std::size_t start = 0;

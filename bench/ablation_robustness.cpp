@@ -4,12 +4,8 @@
 // sharing table is skewed, injector wake-ups jitter and migrations fail.
 // The graceful-degradation counters (saturation resets, migration retries
 // and give-ups, overrun skips) show which fallback paths absorbed the
-// noise. Emits a CSV next to the table for plotting.
-//
-// Environment knobs (on top of the usual SPCD_ABLATION_SCALE):
-//   SPCD_ROBUSTNESS_BENCHES  comma-separated NAS benchmarks (default cg,mg,sp)
-//   SPCD_ROBUSTNESS_CSV      output CSV path (default ablation_robustness.csv
-//                            inside SPCD_OUT_DIR)
+// noise. Runs cg, mg and sp at SPCD_ABLATION_SCALE and writes
+// ablation_robustness.csv into SPCD_OUT_DIR for plotting.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -62,17 +58,12 @@ Point run_cell(const Cell& cell) {
   return p;
 }
 
-std::vector<std::string> configured_benches() {
-  return spcd::bench::split_csv_list(
-      spcd::util::env_string("SPCD_ROBUSTNESS_BENCHES", "cg,mg,sp"));
-}
-
 }  // namespace
 
 int main() {
   using namespace spcd;
 
-  const std::vector<std::string> benches = configured_benches();
+  const std::vector<std::string> benches = {"cg", "mg", "sp"};
   std::printf("Ablation: perturbation intensity vs SPCD gain and "
               "degradation counters\n\n");
 
@@ -98,8 +89,7 @@ int main() {
   table.header({"bench", "intensity", "OS [ms]", "SPCD [ms]", "gain%",
                 "accuracy", "migr", "sat.rst", "retry", "giveup", "skip",
                 "perturb"});
-  const std::string csv_path = util::out_path(util::env_string(
-      "SPCD_ROBUSTNESS_CSV", "ablation_robustness.csv"));
+  const std::string csv_path = util::out_path("ablation_robustness.csv");
   std::string csv =
       "bench,intensity,os_ms,spcd_ms,gain_pct,accuracy,migration_events,"
       "saturation_resets,migration_retries,migration_giveups,overrun_skips,"

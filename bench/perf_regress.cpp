@@ -18,7 +18,8 @@
 //     --repeats N        timing repetitions per kernel, best-of (default 5)
 //     --print-checksums  print the measured checksums (to record a new
 //                        reference after an intentional behavior change)
-#include <algorithm>
+// A malformed command line (unknown flag, a non-numeric or zero --repeats)
+// exits 2, as in the other CLIs (util::CliArgs).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -44,6 +45,7 @@
 #include "obs/json.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -429,26 +431,21 @@ int main(int argc, char** argv) {
   std::string out_path;
   int repeats = 5;
   bool print_checksums = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      out_path = value();
-    } else if (arg == "--repeats") {
-      repeats = std::max(1, std::atoi(value()));
-    } else if (arg == "--print-checksums") {
+  util::CliArgs args(argc, argv,
+                     "usage: perf_regress [--out FILE] [--repeats N] "
+                     "[--print-checksums]\n");
+  while (args.next()) {
+    if (args.is("--out")) {
+      out_path = args.value();
+    } else if (args.is("--repeats")) {
+      repeats = static_cast<int>(args.u32());
+      if (repeats < 1) args.fail("%s\n", "--repeats must be at least 1");
+    } else if (args.is("--print-checksums")) {
       print_checksums = true;
+    } else if (args.help()) {
+      return 0;
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_regress [--out FILE] [--repeats N] "
-                   "[--print-checksums]\n");
-      return 2;
+      args.unknown();
     }
   }
 

@@ -35,10 +35,6 @@ const core::MappingPolicy kPolicies[] = {
     core::MappingPolicy::kOs, core::MappingPolicy::kRandom,
     core::MappingPolicy::kOracle, core::MappingPolicy::kSpcd};
 
-std::string cache_path() {
-  return util::env_string("SPCD_CACHE", "spcd_results.cache");
-}
-
 // FNV-1a, the integrity checksum of the cache trailer. Not cryptographic;
 // it only needs to catch truncation and accidental corruption.
 std::uint64_t fnv1a(const std::string& data) { return util::fnv1a64(data); }
@@ -151,6 +147,10 @@ double configured_scale() {
   return util::env_double_clamped("SPCD_SCALE", 1.0, 1e-4, 1e3);
 }
 
+std::string configured_cache() {
+  return util::env_string("SPCD_CACHE", "spcd_results.cache");
+}
+
 core::SupervisionCounters PipelineOutcome::counters() const {
   core::SupervisionCounters c;
   c.cells_retried = supervision.retried;
@@ -223,8 +223,6 @@ std::string journal_meta(std::uint32_t repetitions, double scale,
       << " scale=" << scale << " mapper=" << mapper;
   return std::move(out).str();
 }
-
-std::string default_journal_path() { return cache_path() + ".journal"; }
 
 std::string serialize_cache(const PipelineResults& results) {
   std::ostringstream out;
@@ -323,11 +321,13 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
   core::RunnerConfig config;
   config.repetitions = out.repetitions;
   config.spcd.mapping = options.mapping;
+  config.trace = obs::TraceConfig::from_env();
   core::Runner runner(config);
   // Worker-level fault injection (SPCD_CHAOS_WORKER_*): applied around the
   // cell, never inside the simulation, so a successful attempt computes
   // exactly what an unperturbed run would.
-  const chaos::PerturbationConfig worker_chaos = chaos::config_from_env();
+  const chaos::PerturbationConfig worker_chaos =
+      chaos::worker_config_from_env();
 
   // One factory per benchmark; factories are stateless and shared across
   // cells. Pre-size every result slot so concurrent cells write disjoint
@@ -600,15 +600,16 @@ const PipelineResults& pipeline_results() {
     PipelineResults r;
     r.repetitions = configured_reps();
     r.scale = configured_scale();
-    if (load_cache_file(cache_path(), r)) {
+    const std::string cache = configured_cache();
+    if (load_cache_file(cache, r)) {
       std::fprintf(stderr, "[pipeline] loaded cached results from %s\n",
-                   cache_path().c_str());
+                   cache.c_str());
       return r;
     }
     PipelineOptions options;
     options.repetitions = r.repetitions;
     options.scale = r.scale;
-    options.journal_path = default_journal_path();
+    options.journal_path = cache + ".journal";
     options.resume = true;  // adopt whatever a crashed sweep left behind
     options.handle_signals = true;
     PipelineOutcome outcome = run_pipeline_supervised(options);
@@ -634,10 +635,10 @@ const PipelineResults& pipeline_results() {
       std::exit(3);
     }
     r = std::move(outcome.results);
-    save_cache_file(cache_path(), r);
+    save_cache_file(cache, r);
     std::remove(options.journal_path.c_str());  // merged into the cache
     std::fprintf(stderr, "[pipeline] results cached to %s\n",
-                 cache_path().c_str());
+                 cache.c_str());
     return r;
   }();
   return results;

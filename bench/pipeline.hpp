@@ -29,6 +29,8 @@
 //   SPCD_CELL_TIMEOUT_MS per-attempt watchdog deadline  (default 0 = off)
 //   SPCD_CELL_BACKOFF_MS retry backoff base             (default 25)
 //   SPCD_DRAIN_MS        graceful-shutdown drain budget (default 5000)
+//   SPCD_CHAOS_WORKER_*  injected cell crashes and hangs (default off)
+//   SPCD_TRACE           export pipeline_trace.json     (default 0)
 #pragma once
 
 #include <map>
@@ -57,6 +59,8 @@ struct PipelineResults {
 std::uint32_t configured_reps();
 /// Workload scale from SPCD_SCALE (default 1.0).
 double configured_scale();
+/// Results cache path from SPCD_CACHE (default ./spcd_results.cache).
+std::string configured_cache();
 
 struct PipelineOptions {
   std::uint32_t repetitions = 10;
@@ -99,7 +103,9 @@ struct PipelineOutcome {
 /// Run the experiment grid under supervision (watchdog, retries,
 /// quarantine, optional journal + resume + signal handling). Deterministic
 /// in `jobs`: any worker count produces bit-identical results, and a
-/// resumed sweep merges to the same bytes as an uninterrupted one.
+/// resumed sweep merges to the same bytes as an uninterrupted one. Reads
+/// the supervision, worker-chaos and SPCD_TRACE knobs from the
+/// environment.
 PipelineOutcome run_pipeline_supervised(const PipelineOptions& options);
 
 /// Run the full experiment grid (no cache or journal involved). Throws
@@ -128,9 +134,6 @@ bool parse_metrics_row(const std::string& row, std::string& bench,
 /// match is discarded, never merged.
 std::string journal_meta(std::uint32_t repetitions, double scale,
                          const std::string& mapper = "blossom");
-
-/// Where the pipeline journals in-progress sweeps: "<cache path>.journal".
-std::string default_journal_path();
 
 /// Canonical v3 cache serialization (header + one line per run, benchmarks
 /// and policies in sorted order, repetitions in order). Two PipelineResults

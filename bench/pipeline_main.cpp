@@ -20,7 +20,6 @@
 #include "bench/pipeline.hpp"
 #include "core/mapping_strategy.hpp"
 #include "util/cli.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
   options.repetitions = bench::configured_reps();
   options.scale = bench::configured_scale();
   options.handle_signals = true;
-  std::string cache = util::env_string("SPCD_CACHE", "spcd_results.cache");
+  std::string cache = bench::configured_cache();
 
   util::CliArgs args(argc, argv, kUsage);
   while (args.next()) {

@@ -192,6 +192,10 @@ suite_mapper_scale() {
 }
 
 suite_obs() {
+  # Knob drift: each quoted SPCD_* name in the code is read at one site and
+  # has exactly one row in README's knob tables, and each row names a knob.
+  diff <(grep -rhoE '"SPCD_[A-Z0-9_]+"' src bench examples | tr -d '"' |
+    sort) <(grep -oE '^\| `SPCD_[A-Z0-9_]+`' README.md | tr -d '|` ' | sort)
   build spcdsim fig08_execution_time
   local dir=$1
   export SPCD_OUT_DIR=$dir

@@ -103,7 +103,9 @@ constexpr char kUsage[] =
     "\n"
     "environment\n"
     "  SPCD_CHAOS_NET_TEAR/_DROP/_DUP/_STALL[_MS]/_SEED  deterministic\n"
-    "                        network fault injection on --drive clients\n";
+    "                        network fault injection on --drive clients\n"
+    "  SPCD_DRAIN_MS         session drain budget on shutdown, ms\n"
+    "                        (default 5000)\n";
 
 // Set by the handler, read by the supervisor's stop poll on another
 // thread: a lock-free atomic is both async-signal-safe and race-free.
@@ -130,6 +132,7 @@ struct Options {
   std::uint16_t tcp_port = 0;
   bool tcp_set = false;
   std::uint32_t max_pending = 64;
+  spcd::util::SupervisorConfig supervisor;  ///< session supervision knobs
   spcd::svc::ServiceConfig service;
   spcd::svc::DriverConfig driver;
   std::string metrics_out;
@@ -195,6 +198,7 @@ int run_serve(const Options& opt) {
   if (trace_cfg.enabled) service.set_trace_session(&trace);
 
   svc::ServerConfig server_cfg;
+  server_cfg.supervisor = opt.supervisor;
   server_cfg.supervisor.stop_poll = [] {
     return g_signal.load(std::memory_order_relaxed) != 0;
   };
@@ -306,6 +310,7 @@ int run_drive(const Options& opt) {
   if (trace_cfg.enabled) service.set_trace_session(&trace);
 
   svc::ServerConfig server_cfg;
+  server_cfg.supervisor = opt.supervisor;
   server_cfg.max_pending_commits = opt.max_pending;
   svc::ServiceServer server(service, server_cfg);
   svc::InProcListener listener;
@@ -366,6 +371,7 @@ int run_replay(const Options& opt) {
 int main(int argc, char** argv) {
   using spcd::util::CliArgs;
   Options opt;
+  opt.supervisor = spcd::util::SupervisorConfig::from_env();
   CliArgs args(argc, argv, kUsage);
   while (args.next()) {
     if (args.is("--serve")) {

@@ -16,26 +16,29 @@
 //     --window <cycles>     temporal window, 0 = off     (default 0)
 //     --no-migration        detect only, never migrate
 //     --data-mapping        enable SPCD page migration
-//     --chaos <intensity>   deterministic perturbations    (default off,
-//                           or the SPCD_CHAOS_* environment knobs)
+//     --chaos <intensity>   deterministic run-level perturbations
+//                           (default off)
 //     --adversary <kind>    adversarial faulter: covert|skew|phase_flip
-//                           (default off, or the SPCD_ADV_* knobs)
+//                           (default off)
 //     --adv-intensity <f>   phantom faults per real fault  (default 1.0
 //                           when --adversary is given)
-//     --harden              enable the hardening defenses  (default off,
-//                           or the SPCD_HARDEN* environment knobs)
+//     --harden              enable the hardening defenses  (default off)
 //     --matrix              print the detected matrix (spcd only)
 //     --trace-out <file>    write a Chrome trace_event JSON (sim-time
 //                           events; open in chrome://tracing or Perfetto)
 //     --metrics-out <file>  write the machine-readable metrics JSON
 //
+// Environment: SPCD_JOBS (the --jobs default), SPCD_TRACE (capture without
+// exporting), the supervision knobs SPCD_CELL_RETRIES /
+// SPCD_CELL_TIMEOUT_MS / SPCD_CELL_BACKOFF_MS, and the worker hooks
+// SPCD_CHAOS_WORKER_* (which --chaos leaves in place).
+//
 // Exit codes follow the SpcdConfig::validate() contract: any malformed
 // command line — unknown flag, missing or non-numeric value, unknown
 // bench/policy, invalid configuration — prints the offending input plus
 // the usage text and exits 2; --help exits 0. Repetitions run under
-// supervision (SPCD_CELL_RETRIES / SPCD_CELL_TIMEOUT_MS): a repetition
-// that exhausts its retries is quarantined and the run exits 1 after
-// printing everything it has.
+// supervision: a repetition that exhausts its retries is quarantined and
+// the run exits 1 after printing everything it has.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,9 +90,7 @@ int run(int argc, char** argv) {
   std::string trace_out;
   std::string metrics_out;
   core::RunnerConfig config;
-  config.chaos = chaos::config_from_env();
-  config.adversary = chaos::adversary_from_env();
-  config.spcd.hardening = core::HardeningConfig::from_env();
+  config.trace = obs::TraceConfig::from_env();
 
   util::CliArgs args(argc, argv, kUsage);
   while (args.next()) {
@@ -142,6 +143,9 @@ int run(int argc, char** argv) {
     }
   }
 
+  // The worker hooks have no flag: SPCD_CHAOS_WORKER_* applies on top of
+  // whatever --chaos set.
+  config.chaos = chaos::worker_config_from_env(config.chaos);
   // Exporting implies capturing: the SPCD_TRACE knob need not be set too.
   if (!trace_out.empty() || !metrics_out.empty()) {
     config.trace.enabled = true;

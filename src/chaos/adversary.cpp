@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/env.hpp"
-
 namespace spcd::chaos {
 
 namespace {
@@ -60,21 +58,6 @@ std::string AdversaryConfig::validate() const {
     return "adversary: flip_period must be > 0 cycles for phase_flip";
   }
   return {};
-}
-
-AdversaryConfig adversary_from_env() {
-  AdversaryConfig c;
-  const std::string kind = util::env_string("SPCD_ADV_KIND", "none");
-  if (!kind.empty() && !parse_adversary_kind(kind, &c.kind)) {
-    c.kind = AdversaryKind::kNone;
-  }
-  c.intensity =
-      util::env_double_clamped("SPCD_ADV_INTENSITY",
-                               c.kind == AdversaryKind::kNone ? 0.0 : 1.0,
-                               0.0, 4.0);
-  c.flip_period = util::env_u64_clamped("SPCD_ADV_FLIP_PERIOD", c.flip_period,
-                                        1, 1'000'000'000'000ULL);
-  return c;
 }
 
 AdversaryEngine::AdversaryEngine(const AdversaryConfig& config,

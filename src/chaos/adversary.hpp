@@ -45,7 +45,7 @@ enum class AdversaryKind : std::uint8_t {
 };
 
 /// Parse "none" / "covert" / "skew" / "phase_flip" (as accepted by
-/// spcdsim --adversary and SPCD_ADV_KIND). Returns false on unknown names.
+/// spcdsim --adversary). Returns false on unknown names.
 bool parse_adversary_kind(const std::string& name, AdversaryKind* out);
 const char* to_string(AdversaryKind kind);
 
@@ -66,10 +66,6 @@ struct AdversaryConfig {
   /// Empty string if sane, else a one-line error.
   std::string validate() const;
 };
-
-/// Read an AdversaryConfig from the environment: SPCD_ADV_KIND (name),
-/// SPCD_ADV_INTENSITY, SPCD_ADV_FLIP_PERIOD. Unset/empty kind means none.
-AdversaryConfig adversary_from_env();
 
 /// One fabricated phantom fault: the adversary thread `tid` pretends to
 /// touch `vaddr`. Delivered through the detector exactly like a real fault.

@@ -82,30 +82,14 @@ PerturbationConfig PerturbationConfig::at_intensity(double intensity) {
   return c;
 }
 
-PerturbationConfig config_from_env() {
-  PerturbationConfig c = PerturbationConfig::at_intensity(
-      util::env_double_clamped("SPCD_CHAOS_INTENSITY", 0.0, 0.0, 4.0));
-  c.drop_fault = util::env_double_clamped("SPCD_CHAOS_DROP_FAULT",
-                                          c.drop_fault, 0.0, 1.0);
-  c.duplicate_fault = util::env_double_clamped("SPCD_CHAOS_DUP_FAULT",
-                                               c.duplicate_fault, 0.0, 1.0);
-  c.forced_collision = util::env_double_clamped("SPCD_CHAOS_COLLISION",
-                                                c.forced_collision, 0.0, 1.0);
-  c.wakeup_jitter = util::env_double_clamped("SPCD_CHAOS_JITTER",
-                                             c.wakeup_jitter, 0.0, 0.45);
-  c.overrun =
-      util::env_double_clamped("SPCD_CHAOS_OVERRUN", c.overrun, 0.0, 1.0);
-  c.migration_fail = util::env_double_clamped("SPCD_CHAOS_MIG_FAIL",
-                                              c.migration_fail, 0.0, 1.0);
-  c.migration_delay = util::env_double_clamped("SPCD_CHAOS_MIG_DELAY",
-                                               c.migration_delay, 0.0, 1.0);
-  c.worker_crash = util::env_double_clamped("SPCD_CHAOS_WORKER_CRASH",
-                                            c.worker_crash, 0.0, 1.0);
-  c.worker_hang = util::env_double_clamped("SPCD_CHAOS_WORKER_HANG",
-                                           c.worker_hang, 0.0, 1.0);
-  c.worker_hang_ms = util::env_u64_clamped("SPCD_CHAOS_WORKER_HANG_MS",
-                                           c.worker_hang_ms, 1, 3'600'000);
-  return c;
+PerturbationConfig worker_config_from_env(PerturbationConfig base) {
+  base.worker_crash = util::env_double_clamped("SPCD_CHAOS_WORKER_CRASH",
+                                               base.worker_crash, 0.0, 1.0);
+  base.worker_hang = util::env_double_clamped("SPCD_CHAOS_WORKER_HANG",
+                                              base.worker_hang, 0.0, 1.0);
+  base.worker_hang_ms = util::env_u64_clamped(
+      "SPCD_CHAOS_WORKER_HANG_MS", base.worker_hang_ms, 1, 3'600'000);
+  return base;
 }
 
 WorkerPlan worker_plan(const PerturbationConfig& config,

@@ -88,14 +88,12 @@ struct PerturbationConfig {
   static PerturbationConfig at_intensity(double intensity);
 };
 
-/// Read a PerturbationConfig from SPCD_CHAOS_* environment knobs:
-/// SPCD_CHAOS_INTENSITY scales the standard profile, and the individual
-/// knobs (SPCD_CHAOS_DROP_FAULT, _DUP_FAULT, _COLLISION, _JITTER,
-/// _OVERRUN, _MIG_FAIL, _MIG_DELAY) override single probabilities. The
-/// worker hooks read SPCD_CHAOS_WORKER_CRASH, _WORKER_HANG and
-/// _WORKER_HANG_MS (never part of the intensity profile: they perturb the
-/// harness, not the algorithm under test).
-PerturbationConfig config_from_env();
+/// `base` with its worker hooks read from SPCD_CHAOS_WORKER_CRASH,
+/// _WORKER_HANG and _WORKER_HANG_MS (unset knobs keep base's values);
+/// every run-level probability stays as in `base`. The only environment
+/// route into chaos: the worker hooks perturb the harness, not the
+/// algorithm under test, and no CLI has a flag for them.
+PerturbationConfig worker_config_from_env(PerturbationConfig base = {});
 
 /// Thrown by apply_worker_plan() for an injected cell crash.
 struct WorkerCrash : std::runtime_error {

@@ -113,10 +113,11 @@ struct RunnerConfig {
   /// Worker threads for run_policy(): 0 = the SPCD_JOBS environment knob
   /// (default hardware concurrency), 1 = serial.
   std::uint32_t jobs = 0;
-  /// Sim-time tracing (default: the SPCD_TRACE / SPCD_TRACE_BUF knobs).
-  /// When enabled, each run owns an obs::Session whose capture lands in
-  /// RunMetrics::obs; captures are SPCD_JOBS-invariant.
-  obs::TraceConfig trace = obs::TraceConfig::from_env();
+  /// Sim-time tracing (default off; the exporters that honor SPCD_TRACE
+  /// set it from obs::TraceConfig::from_env()). When enabled, each run
+  /// owns an obs::Session whose capture lands in RunMetrics::obs;
+  /// captures are SPCD_JOBS-invariant.
+  obs::TraceConfig trace;
 };
 
 /// Runs experiment cells. Thread-safe: concurrent run_once() calls from a

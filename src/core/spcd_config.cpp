@@ -1,7 +1,5 @@
 #include "core/spcd_config.hpp"
 
-#include "util/env.hpp"
-
 namespace spcd::core {
 
 std::string HardeningConfig::validate() const {
@@ -31,33 +29,6 @@ std::string HardeningConfig::validate() const {
     return "hardening.rollback_tolerance must be >= 0";
   }
   return {};
-}
-
-HardeningConfig HardeningConfig::from_env() {
-  HardeningConfig c;
-  c.enabled = util::env_u64_clamped("SPCD_HARDEN", 0, 0, 1) != 0;
-  c.anomaly_window_faults = util::env_u64_clamped(
-      "SPCD_HARDEN_WINDOW", c.anomaly_window_faults, 1, 1'000'000'000);
-  c.anomaly_entropy_weight = util::env_double_clamped(
-      "SPCD_HARDEN_ENTROPY_WEIGHT", c.anomaly_entropy_weight, 0.0, 1.0);
-  c.anomaly_flag_threshold = util::env_double_clamped(
-      "SPCD_HARDEN_FLAG_THRESHOLD", c.anomaly_flag_threshold, 1e-9, 1e9);
-  c.anomaly_discount = static_cast<std::uint32_t>(util::env_u64_clamped(
-      "SPCD_HARDEN_DISCOUNT", c.anomaly_discount, 1, 1'000'000));
-  c.admission_max_refusals = static_cast<std::uint32_t>(util::env_u64_clamped(
-      "SPCD_HARDEN_REFUSALS", c.admission_max_refusals, 1, 1'000'000));
-  c.filter_hysteresis = static_cast<std::uint32_t>(util::env_u64_clamped(
-      "SPCD_HARDEN_HYSTERESIS", c.filter_hysteresis, 0, 1'000'000));
-  c.remap_burst = static_cast<std::uint32_t>(util::env_u64_clamped(
-      "SPCD_HARDEN_BURST", c.remap_burst, 1, 1'000'000));
-  c.remap_refill_interval = util::env_u64_clamped(
-      "SPCD_HARDEN_REFILL", c.remap_refill_interval, 1,
-      1'000'000'000'000ULL);
-  c.probation_window = util::env_u64_clamped(
-      "SPCD_HARDEN_PROBATION", c.probation_window, 0, 1'000'000'000'000ULL);
-  c.rollback_tolerance = util::env_double_clamped(
-      "SPCD_HARDEN_TOLERANCE", c.rollback_tolerance, 0.0, 1e9);
-  return c;
 }
 
 std::string SpcdConfig::validate() const {

@@ -32,7 +32,8 @@ class ConfigError : public std::invalid_argument {
 /// Adversarial-input hardening (DESIGN.md §13). Everything here defaults to
 /// *off*: with `enabled == false` the pipeline computes bit-for-bit what a
 /// build without the hardening layer would — the defenses are opt-in
-/// because the byte-identity CI gates pin the default path's results.
+/// (`spcdsim --harden`, or these fields in code) because the byte-identity
+/// CI gates pin the default path's results.
 struct HardeningConfig {
   /// Master switch for all detection/filter/mapper defenses below.
   bool enabled = false;
@@ -79,11 +80,6 @@ struct HardeningConfig {
   /// Empty string when valid, else a one-line error (see
   /// SpcdConfig::validate, which includes this check).
   std::string validate() const;
-
-  /// Read overrides from SPCD_HARDEN_* environment knobs (SPCD_HARDEN=1
-  /// enables; _WINDOW, _ENTROPY_WEIGHT, _FLAG_THRESHOLD, _DISCOUNT,
-  /// _REFUSALS, _HYSTERESIS, _BURST, _REFILL, _PROBATION, _TOLERANCE).
-  static HardeningConfig from_env();
 };
 
 /// Selection and knobs of the mapping algorithm (core/mapping_strategy.hpp).

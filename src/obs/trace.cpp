@@ -58,8 +58,6 @@ std::vector<TraceEvent> TraceBuffer::snapshot() const {
 TraceConfig TraceConfig::from_env() {
   TraceConfig config;
   config.enabled = util::env_u64("SPCD_TRACE", 0) != 0;
-  config.buffer_events = static_cast<std::size_t>(
-      util::env_u64_clamped("SPCD_TRACE_BUF", 1 << 16, 64, 1 << 24));
   return config;
 }
 

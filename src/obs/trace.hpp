@@ -14,9 +14,9 @@
 // bit-reproducible and invariant under SPCD_JOBS: the exported traces of a
 // serial and a parallel pipeline are byte-identical.
 //
-// Knobs (read by TraceConfig::from_env):
-//   SPCD_TRACE      1/0 — enable tracing (default 0)
-//   SPCD_TRACE_BUF  ring capacity in events (default 65536)
+// TraceConfig is a plain value, off by default. TraceConfig::from_env()
+// reads SPCD_TRACE (1/0); only the sim-trace exporters call it (spcdsim
+// and the figure pipeline's run_pipeline_supervised).
 #pragma once
 
 #include <cstdint>
@@ -91,7 +91,7 @@ struct TraceConfig {
   bool enabled = false;
   std::size_t buffer_events = 1 << 16;
 
-  /// SPCD_TRACE (0/1) and SPCD_TRACE_BUF (clamped to [64, 2^24]).
+  /// `enabled` from SPCD_TRACE (0/1); every other field keeps its default.
   static TraceConfig from_env();
 };
 

@@ -3,7 +3,8 @@
 // pool, so tenant isolation rides the same machinery as the experiment
 // pipeline's cells — a hung session trips the watchdog's CancelToken, a
 // graceful shutdown (request_stop) drains every session within
-// SPCD_DRAIN_MS, and the final SupervisorReport counts what happened.
+// ServerConfig::supervisor.drain_ms (spcdd sets it from SPCD_DRAIN_MS), and
+// the final SupervisorReport counts what happened.
 // Session errors are contained: a malformed frame or dead peer closes
 // that session; it never throws into the supervisor's retry path (a
 // closed socket is not retryable).
@@ -35,8 +36,9 @@ struct ServerConfig {
   /// CPU parallelism — the default admits well past the 100-tenant mark
   /// instead of inheriting the CPU-count default a compute pool wants.
   unsigned threads = 160;
-  /// Supervision knobs (watchdog, drain); see SupervisorConfig::from_env.
-  util::SupervisorConfig supervisor = util::SupervisorConfig::from_env();
+  /// Supervision knobs (watchdog, drain). Plain defaults: spcdd's main
+  /// reads SupervisorConfig::from_env() and passes it here.
+  util::SupervisorConfig supervisor;
   /// Session recv poll period: the latency of noticing a stop request.
   int recv_timeout_ms = 50;
   /// Backpressure: batches/re-registers in flight (commit lock or group

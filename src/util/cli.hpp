@@ -65,7 +65,15 @@ class CliArgs {
     }
     return static_cast<std::uint64_t>(v);
   }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(u64()); }
+  /// u64() that must also fit 32 bits: "--reps 4294967297" exits 2
+  /// instead of wrapping to 1.
+  std::uint32_t u32() {
+    const std::uint64_t v = u64();
+    if (v > UINT32_MAX) {
+      fail("%s is out of range\n", (arg_ + "=" + std::to_string(v)).c_str());
+    }
+    return static_cast<std::uint32_t>(v);
+  }
 
   /// Strict floating-point value.
   double real() {

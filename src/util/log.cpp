@@ -11,11 +11,16 @@ namespace {
 
 LogLevel initial_level() {
   const char* env = std::getenv("SPCD_LOG");
-  if (env == nullptr) return LogLevel::kWarn;
+  if (env == nullptr || *env == '\0') return LogLevel::kWarn;
   if (std::strcmp(env, "error") == 0) return LogLevel::kError;
   if (std::strcmp(env, "warn") == 0) return LogLevel::kWarn;
   if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
   if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
+  // Plain fprintf: this runs while g_level itself is being initialized.
+  std::fprintf(stderr,
+               "[spcd WARN ] SPCD_LOG=\"%s\" is not a level "
+               "(error|warn|info|debug); using warn\n",
+               env);
   return LogLevel::kWarn;
 }
 

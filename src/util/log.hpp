@@ -1,5 +1,6 @@
 // Minimal leveled logger. Level is read from SPCD_LOG (error|warn|info|debug)
-// once at startup; default is warn so benchmark output stays clean.
+// once at startup; default is warn so benchmark output stays clean, and an
+// unknown value warns once on stderr and keeps warn.
 // Messages use printf-style formatting (GCC 12 has no <format>).
 #pragma once
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 namespace spcd::chaos {
@@ -60,32 +59,6 @@ TEST(AdversaryConfigTest, ValidateRejectsBadValues) {
   c.kind = AdversaryKind::kPhaseFlip;
   c.flip_period = 0;
   EXPECT_FALSE(c.validate().empty());
-}
-
-TEST(AdversaryConfigTest, FromEnvReadsKnobs) {
-  ::setenv("SPCD_ADV_KIND", "skew", 1);
-  ::setenv("SPCD_ADV_INTENSITY", "2.5", 1);
-  ::setenv("SPCD_ADV_FLIP_PERIOD", "123456", 1);
-  const AdversaryConfig c = adversary_from_env();
-  ::unsetenv("SPCD_ADV_KIND");
-  ::unsetenv("SPCD_ADV_INTENSITY");
-  ::unsetenv("SPCD_ADV_FLIP_PERIOD");
-  EXPECT_EQ(c.kind, AdversaryKind::kSkew);
-  EXPECT_DOUBLE_EQ(c.intensity, 2.5);
-  EXPECT_EQ(c.flip_period, 123456u);
-
-  // Unset kind: disabled, zero default intensity.
-  const AdversaryConfig off = adversary_from_env();
-  EXPECT_EQ(off.kind, AdversaryKind::kNone);
-  EXPECT_FALSE(off.enabled());
-}
-
-TEST(AdversaryConfigTest, FromEnvDefaultsIntensityWhenKindSet) {
-  ::setenv("SPCD_ADV_KIND", "covert", 1);
-  const AdversaryConfig c = adversary_from_env();
-  ::unsetenv("SPCD_ADV_KIND");
-  EXPECT_TRUE(c.enabled());
-  EXPECT_DOUBLE_EQ(c.intensity, 1.0);
 }
 
 TEST(AdversaryEngineTest, SameSeedSameStream) {

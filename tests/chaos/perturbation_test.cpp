@@ -173,19 +173,17 @@ TEST(PerturbationEngineTest, CountersTrackEveryInjection) {
   EXPECT_EQ(engine.counters().total(), 4u);
 }
 
-TEST(PerturbationEnvTest, IntensityKnobScalesAndSingleKnobsOverride) {
-  ::setenv("SPCD_CHAOS_INTENSITY", "1.0", 1);
-  PerturbationConfig config = config_from_env();
-  EXPECT_DOUBLE_EQ(config.drop_fault, 0.15);
-
-  ::setenv("SPCD_CHAOS_DROP_FAULT", "0.9", 1);
-  config = config_from_env();
-  EXPECT_DOUBLE_EQ(config.drop_fault, 0.9);
-  EXPECT_DOUBLE_EQ(config.duplicate_fault, 0.05);  // still from intensity
-
-  ::unsetenv("SPCD_CHAOS_INTENSITY");
-  ::unsetenv("SPCD_CHAOS_DROP_FAULT");
-  EXPECT_FALSE(config_from_env().enabled());
+TEST(PerturbationEnvTest, WorkerKnobsApplyOverTheBase) {
+  ::setenv("SPCD_CHAOS_WORKER_CRASH", "0.5", 1);
+  const PerturbationConfig worker = worker_config_from_env();
+  const PerturbationConfig both =
+      worker_config_from_env(PerturbationConfig::at_intensity(1.0));
+  ::unsetenv("SPCD_CHAOS_WORKER_CRASH");
+  EXPECT_DOUBLE_EQ(worker.worker_crash, 0.5);
+  EXPECT_FALSE(worker.enabled());  // no run-level probability from env
+  // spcdsim --chaos plus the env: both the profile and the worker hook.
+  EXPECT_DOUBLE_EQ(both.drop_fault, 0.15);
+  EXPECT_DOUBLE_EQ(both.worker_crash, 0.5);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The CLI error contract: any malformed input — unknown flag, policy or
 // mapper, malformed or out-of-range value, invalid configuration — makes
-// spcdsim and spcd_pipeline exit with code 2 (see ConfigError in
-// core/spcd_config.hpp and util::CliArgs). The binary paths are injected by
-// CMake as SPCDSIM_BINARY and SPCD_PIPELINE_BINARY.
+// spcdsim, spcd_pipeline and perf_regress exit with code 2 (see ConfigError
+// in core/spcd_config.hpp and util::CliArgs). The binary paths are injected
+// by CMake as SPCDSIM_BINARY, SPCD_PIPELINE_BINARY and PERF_REGRESS_BINARY.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -59,6 +59,7 @@ TEST(CliExitCodeTest, HelpExitsZero) {
 
 TEST(CliExitCodeTest, MalformedValueExitsTwo) {
   EXPECT_EQ(exit_code_of("--reps notanumber"), 2);
+  EXPECT_EQ(exit_code_of("--reps 4294967297"), 2);  // would wrap to 1
 }
 
 TEST(CliExitCodeTest, UnknownMapperExitsTwoListingTheRegistry) {
@@ -73,6 +74,35 @@ TEST(CliExitCodeTest, BadScaleExitsTwo) {
     EXPECT_EQ(exit_code_of(std::string("--scale ") + scale), 2) << scale;
   }
 }
+
+TEST(CliExitCodeTest, ChaosFlagKeepsWorkerChaosFromEnv) {
+  // --chaos sets the run-level probabilities only: the injected crash of
+  // SPCD_CHAOS_WORKER_CRASH still quarantines the repetition.
+  std::string output;
+  EXPECT_EQ(exit_code_of("SPCD_CHAOS_WORKER_CRASH=1 SPCD_CELL_RETRIES=0 "
+                         SPCDSIM_BINARY,
+                         "--bench cg --reps 1 --scale 0.02 --chaos 0.5",
+                         &output),
+            1);
+  EXPECT_NE(output.find("quarantined"), std::string::npos) << output;
+}
+
+TEST(CliExitCodeTest, BadLogLevelWarns) {
+  std::string output;
+  EXPECT_EQ(exit_code_of("SPCD_LOG=bogus " SPCDSIM_BINARY, "--help", &output),
+            0);
+  EXPECT_NE(output.find("SPCD_LOG=\"bogus\""), std::string::npos) << output;
+  EXPECT_NE(output.find("error|warn|info|debug"), std::string::npos)
+      << output;
+}
+
+#ifdef PERF_REGRESS_BINARY
+TEST(CliExitCodeTest, PerfRegressBadRepeatsExitsTwo) {
+  EXPECT_EQ(exit_code_of(PERF_REGRESS_BINARY, "--repeats abc"), 2);
+  EXPECT_EQ(exit_code_of(PERF_REGRESS_BINARY, "--repeats 0"), 2);
+  EXPECT_EQ(exit_code_of(PERF_REGRESS_BINARY, "--frobnicate"), 2);
+}
+#endif
 
 #ifdef SPCD_PIPELINE_BINARY
 TEST(CliExitCodeTest, PipelineBadScaleExitsTwo) {

@@ -8,11 +8,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/runner.hpp"
 #include "svc/driver.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
@@ -22,6 +24,21 @@ namespace spcd::svc {
 namespace {
 
 std::string tmp_journal(const char* name) { return testing::TempDir() + name; }
+
+// Config types are plain values: building one never reads the environment,
+// so tests and harnesses get the same defaults under any SPCD_* settings.
+// Only the binaries read the knobs (spcdsim, spcdd, the figure pipeline).
+TEST(HermeticConfigTest, DefaultsIgnoreTheEnvironment) {
+  ::setenv("SPCD_TRACE", "1", 1);
+  ::setenv("SPCD_DRAIN_MS", "1", 1);
+  const core::RunnerConfig runner_config;
+  const ServerConfig server_config;
+  ::unsetenv("SPCD_TRACE");
+  ::unsetenv("SPCD_DRAIN_MS");
+  EXPECT_FALSE(runner_config.trace.enabled);
+  EXPECT_EQ(server_config.supervisor.drain_ms,
+            util::SupervisorConfig{}.drain_ms);
+}
 
 TEST(SvcServerDrainTest, ManyTenantsCompleteAndDrainCleanly) {
   SpcdService service((ServiceConfig()));
