@@ -260,7 +260,7 @@ suite_tsan() {
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     GTEST_DEATH_TEST_STYLE=threadsafe \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" -R \
-    'EngineTest|EngineEpoch|ThreadPool|ConfiguredJobs|RunnerTest|SvcGroupCommit|SvcServerDrain|SvcClientReconnect|SvcNetChaos|SignalShutdown'
+    'EngineTest|ThreadPool|ConfiguredJobs|RunnerTest|SvcGroupCommit|SvcServerDrain|SvcClientReconnect|SvcNetChaos|SignalShutdown'
 }
 
 for suite in "${@:-}"; do

@@ -55,95 +55,65 @@ util::Cycles SpcdDetector::on_fault(const mem::FaultEvent& event) {
   // detection hook never saw the event, so it costs nothing here.
   if (chaos_ != nullptr && chaos_->drop_fault()) return 0;
 
-  // The cost must be charged to the faulting thread *now*, and the chaos
-  // draws must advance their streams in fault order — both stay
-  // synchronous. Only the table/matrix walk is deferred to the ring.
   util::Cycles cost = config_.fault_hook_cost;
   const bool duplicated = chaos_ != nullptr && chaos_->duplicate_fault();
   if (duplicated) cost += config_.fault_hook_cost;
 
-  ring_[ring_size_++] =
-      PendingFault{event.vaddr, event.tid, event.time, duplicated};
-  if (ring_size_ == kRingCapacity) drain();
+  deliver(event.vaddr, event.tid, event.time, duplicated);
+  if (adversary_ != nullptr) {
+    // Phantom faults ride on the delivered real fault: the attack schedule
+    // is a pure function of the fault stream, so it is identical at any
+    // job count. The detector itself cannot tell them from real faults —
+    // they run through the exact same delivery path.
+    chaos::PhantomFault phantoms[4];
+    const std::uint32_t count = adversary_->fabricate(
+        event.vaddr, event.tid, event.time, phantoms, 4);
+    for (std::uint32_t p = 0; p < count; ++p) {
+      deliver(phantoms[p].vaddr, phantoms[p].tid, event.time,
+              /*duplicated=*/false);
+    }
+  }
   return cost;
 }
 
-void SpcdDetector::flush() const {
-  // See the header: flush() is logically const — every accessor routes
-  // through it, so post-drain state is the only observable state.
-  if (ring_size_ != 0) const_cast<SpcdDetector*>(this)->drain();
-}
-
-void SpcdDetector::drain() {
-  // Batching dividend: the ring holds the next few faults' addresses, so
-  // their table buckets can be prefetched ahead of delivery — the probe of
-  // a paper-sized (memory-resident) table is otherwise a full cache miss
-  // per fault. Purely a hint; results are unchanged.
-  constexpr std::size_t kPrefetchAhead = 6;
-  const std::size_t prime = ring_size_ < kPrefetchAhead ? ring_size_
-                                                        : kPrefetchAhead;
-  for (std::size_t i = 0; i < prime; ++i) table_.prefetch(ring_[i].vaddr);
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    if (i + kPrefetchAhead < ring_size_) {
-      table_.prefetch(ring_[i + kPrefetchAhead].vaddr);
-    }
-    const PendingFault& fault = ring_[i];
-    deliver(fault);
-    if (adversary_ != nullptr) {
-      // Phantom faults ride on the delivered real fault, fabricated here
-      // in the serial drain loop: the attack schedule is a pure function
-      // of the fault stream, so it is identical at any job count.
-      // The detector itself cannot tell them from real faults — they run
-      // through the exact same delivery path.
-      chaos::PhantomFault phantoms[4];
-      const std::uint32_t count = adversary_->fabricate(
-          fault.vaddr, fault.tid, fault.time, phantoms, 4);
-      for (std::uint32_t p = 0; p < count; ++p) {
-        deliver(PendingFault{phantoms[p].vaddr, phantoms[p].tid, fault.time,
-                             /*duplicated=*/false});
-      }
-    }
-  }
-  ring_size_ = 0;
-}
-
-void SpcdDetector::deliver(const PendingFault& fault) {
+void SpcdDetector::deliver(std::uint64_t vaddr, mem::ThreadId tid,
+                           util::Cycles time, bool duplicated) {
   ++faults_seen_;
   if (hardened()) {
-    if (fault.tid < window_faults_.size()) ++window_faults_[fault.tid];
+    if (tid < window_faults_.size()) ++window_faults_[tid];
     ++window_total_;
   }
   const std::uint64_t comm_before = comm_events_;
-  record(fault);
-  if (fault.duplicated) record(fault);
-  obs::trace_instant("detector", "fault", fault.time, {"tid", fault.tid},
+  record(vaddr, tid, time);
+  if (duplicated) record(vaddr, tid, time);
+  obs::trace_instant("detector", "fault", time, {"tid", tid},
                      {"comm", comm_events_ - comm_before});
-  maybe_score_anomalies(fault.time);
-  maybe_handle_saturation(fault.time);
+  maybe_score_anomalies(time);
+  maybe_handle_saturation(time);
 }
 
-void SpcdDetector::record(const PendingFault& fault) {
-  const mem::CommunicationEvent comm =
-      table_.record_access(fault.vaddr, fault.tid, fault.time);
+void SpcdDetector::record(std::uint64_t vaddr, mem::ThreadId tid,
+                          util::Cycles time) {
+  const mem::CommunicationEvent comm = table_.record_access(vaddr, tid, time);
   const bool harden = hardened();
   for (std::uint32_t i = 0; i < comm.partner_count; ++i) {
     const std::uint32_t partner = comm.partners[i];
-    if (partner >= matrix_.size() || fault.tid >= matrix_.size()) continue;
+    if (partner >= matrix_.size() || tid >= matrix_.size()) continue;
     if (harden) {
       // Confidence weighting: an edge whose source or partner was flagged
       // anomalous counts only once every anomaly_discount events (the
       // flagged endpoint's own phase counter keeps the thinning exact and
       // deterministic). Honest edges pass untouched.
-      const bool src_flagged = flagged_[fault.tid] != 0;
+      const bool src_flagged = flagged_[tid] != 0;
       const bool dst_flagged = flagged_[partner] != 0;
       if (src_flagged || dst_flagged) {
-        const std::uint32_t idx = src_flagged ? fault.tid : partner;
+        const std::uint32_t idx = src_flagged ? tid : partner;
         if (++discount_ctr_[idx] % config_.hardening.anomaly_discount != 0) {
           continue;
         }
       }
     }
-    matrix_.add(fault.tid, partner);
+    matrix_.add(tid, partner);
     ++comm_events_;
   }
 }

@@ -55,13 +55,6 @@ void SpcdKernel::install(sim::Engine& engine) {
     hooked_space_->add_fault_observer(data_mapper_.get());
   }
   injector_.install(engine);
-  // Fault batches also drain at every engine epoch, the engine's
-  // deterministic sim-time heartbeat. Safe at any frequency:
-  // drain order preserves fault order, costs were charged synchronously in
-  // on_fault, and saturation checks key off per-fault counters and the
-  // fault's own timestamp, so an extra drain point never changes results
-  // (the byte-identity CI gate holds this to account).
-  engine.add_epoch_hook([this](sim::Engine&) { detector_.flush(); });
   engine.schedule(engine.now() + config_.mapping_interval,
                   [this](sim::Engine& e) { mapping_tick(e); });
 }
@@ -137,9 +130,6 @@ void SpcdKernel::schedule_retry(sim::Engine& engine, sim::Placement target,
 }
 
 void SpcdKernel::mapping_tick(sim::Engine& engine) {
-  // Quantum boundary: deliver all ring-buffered fault events before any
-  // mapping decision reads detector state.
-  detector_.flush();
   const std::uint32_t n = engine.num_threads();
   const bool hardened = config_.hardening.enabled;
 

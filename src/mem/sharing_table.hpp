@@ -13,7 +13,9 @@
 //     last access fell inside a time window (temporal false communication,
 //     SIII-C2),
 //   * the hash function follows the Linux kernel's hash_64 (golden-ratio
-//     multiplicative hash).
+//     multiplicative hash),
+//   * the SPCD detector probes it inside the page-fault hook, as each
+//     fault occurs.
 #pragma once
 
 #include <cstdint>
@@ -67,14 +69,6 @@ class SharingTable {
   /// Region key for an address at the configured granularity.
   std::uint64_t region_of(std::uint64_t vaddr) const {
     return vaddr >> config_.granularity_shift;
-  }
-
-  /// Hint that `vaddr`'s bucket will be accessed soon. Purely a cache
-  /// prefetch — no architectural effect. The detector issues these for
-  /// ring-buffered faults a few events ahead of their delivery, hiding the
-  /// table's (deliberately paper-sized, memory-resident) probe latency.
-  void prefetch(std::uint64_t vaddr) const {
-    __builtin_prefetch(&table_[bucket_of(region_of(vaddr))]);
   }
 
   const SharingTableConfig& config() const { return config_; }

@@ -57,7 +57,7 @@ std::vector<TraceEvent> TraceBuffer::snapshot() const {
 
 TraceConfig TraceConfig::from_env() {
   TraceConfig config;
-  config.enabled = util::env_u64("SPCD_TRACE", 0) != 0;
+  config.enabled = util::env_u64_clamped("SPCD_TRACE", 0, 0, 1) != 0;
   return config;
 }
 

@@ -14,8 +14,7 @@ Engine::Engine(Machine& machine, mem::AddressSpace& address_space,
       config_(config),
       placement_(std::move(placement)),
       smt_penalty_x256_(
-          static_cast<std::uint32_t>(machine.spec().smt_penalty * 256.0)),
-      next_epoch_(config.epoch_interval) {
+          static_cast<std::uint32_t>(machine.spec().smt_penalty * 256.0)) {
   const std::uint32_t n = workload.num_threads();
   SPCD_EXPECTS(placement_.size() == n);
   SPCD_EXPECTS(n >= 1);
@@ -70,17 +69,6 @@ util::Cycles Engine::heap_runner_up_time() const {
 
 void Engine::schedule(util::Cycles when, std::function<void(Engine&)> fn) {
   events_.push(Event{std::max(when, now_), event_seq_++, std::move(fn)});
-}
-
-void Engine::advance_epochs() {
-  if (config_.epoch_interval == 0) return;  // heartbeat disabled
-  while (now_ >= next_epoch_) {
-    ++epoch_count_;
-    next_epoch_ += config_.epoch_interval;
-    obs::trace_instant("engine", "epoch", now_, {"epoch", epoch_count_},
-                       {"active", active_threads_});
-    for (auto& hook : epoch_hooks_) hook(*this);
-  }
 }
 
 bool Engine::smt_sibling_busy(arch::ContextId ctx) const {
@@ -251,10 +239,6 @@ void Engine::run() {
   // yields, the root is re-keyed with one sift-down instead of a pop and a
   // push. The thread leaves the heap only at a barrier or its finish.
   while (!heap_.empty()) {
-    // Epoch heartbeat: fires on the simulated clock, so boundaries land at
-    // identical points of every run.
-    advance_epochs();
-
     // Kernel events due before the next thread step run first.
     if (!events_.empty() && events_.top().time <= heap_.front().time) {
       // The queue is not stable under in-callback scheduling; copy out.

@@ -13,10 +13,8 @@
 //   * detection/mapping overhead cycles are accounted separately so the
 //     harness can reproduce the paper's Figure 16.
 //
-// Epochs are a fixed simulated-time heartbeat: at each boundary the
-// registered epoch hooks run (the SPCD kernel flushes the detector's
-// fault batch there). Being pure sim-time, they land at identical points
-// of every run; see DESIGN.md §12.
+// Kernel modules act only through scheduled events and fault observers
+// (the SPCD detector does its work inside each fault).
 #pragma once
 
 #include <cstdint>
@@ -43,9 +41,6 @@ struct EngineConfig {
   util::Cycles max_cycles = 1ULL << 40;
   /// Cost of a barrier episode, added after the last arrival.
   std::uint32_t barrier_cost = 300;
-  /// Epoch heartbeat: epoch hooks fire every this many simulated cycles
-  /// (0 disables the heartbeat).
-  util::Cycles epoch_interval = 1ULL << 20;
 };
 
 class Engine {
@@ -63,15 +58,6 @@ class Engine {
 
   /// Run the workload to completion (all threads finished).
   void run();
-
-  /// Register a hook invoked at every epoch boundary. Hooks run in
-  /// registration order at a deterministic simulated time, so they may
-  /// mutate simulation state (the SPCD kernel flushes its fault batches
-  /// here).
-  using EpochHook = std::function<void(Engine&)>;
-  void add_epoch_hook(EpochHook hook) {
-    epoch_hooks_.push_back(std::move(hook));
-  }
 
   // --- results ---
   /// Completion time of the last thread, in cycles.
@@ -94,8 +80,6 @@ class Engine {
   }
   std::uint32_t active_threads() const { return active_threads_; }
   util::Cycles now() const { return now_; }
-  /// Epoch boundaries crossed so far.
-  std::uint64_t epoch_count() const { return epoch_count_; }
 
   /// Move a thread to a context; if occupied, the occupant is swapped onto
   /// the thread's old context. Both movers pay the migration latency.
@@ -174,9 +158,6 @@ class Engine {
   void maybe_release_barrier();
   bool smt_sibling_busy(arch::ContextId ctx) const;
 
-  /// Fire epoch boundaries up to now_, running the epoch hooks at each.
-  void advance_epochs();
-
   Machine& machine_;
   mem::AddressSpace& as_;
   EngineConfig config_;
@@ -199,10 +180,6 @@ class Engine {
   bool timed_out_ = false;
   // Fixed-point SMT penalty (x256) to avoid per-op float math.
   std::uint32_t smt_penalty_x256_;
-
-  std::vector<EpochHook> epoch_hooks_;
-  util::Cycles next_epoch_;
-  std::uint64_t epoch_count_ = 0;
 };
 
 }  // namespace spcd::sim

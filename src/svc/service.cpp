@@ -715,6 +715,14 @@ std::vector<ArbiterDecision> SpcdService::decisions() const {
   return decisions_;
 }
 
+std::optional<core::CommMatrix> SpcdService::tenant_matrix(
+    std::uint32_t tenant_id) const {
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  const Tenant* tenant = registry_.find(tenant_id);
+  if (tenant == nullptr) return std::nullopt;
+  return tenant->matrix;
+}
+
 std::uint64_t SpcdService::total_events() const {
   std::lock_guard<std::mutex> lock(commit_mu_);
   return total_events_;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,8 @@ class SpcdService {
   std::string decisions_text() const;
 
   std::vector<ArbiterDecision> decisions() const;
+  /// A copy of the tenant's communication matrix; nullopt when unknown.
+  std::optional<core::CommMatrix> tenant_matrix(std::uint32_t tenant_id) const;
   std::uint64_t total_events() const;
   std::uint64_t journal_records() const;
   std::uint32_t registered_tenants() const;

@@ -7,15 +7,11 @@
 
 namespace spcd::util {
 
-/// Integer environment variable with a default; malformed or negative
-/// values fall back.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback);
-
-/// Like env_u64, but hardened: a malformed value falls back and an
-/// out-of-range value is clamped to [lo, hi] — both with a one-line
-/// warning, never silently. The fallback itself is returned untouched when
-/// the variable is unset (it may deliberately lie outside [lo, hi] as a
-/// "not configured" sentinel).
+/// Integer environment variable with a default. A malformed or negative
+/// value falls back and an out-of-range value is clamped to [lo, hi] —
+/// both with a one-line warning, never silently. The fallback itself is
+/// returned untouched when the variable is unset (it may deliberately lie
+/// outside [lo, hi] as a "not configured" sentinel).
 std::uint64_t env_u64_clamped(const char* name, std::uint64_t fallback,
                               std::uint64_t lo, std::uint64_t hi);
 

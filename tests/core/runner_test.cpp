@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string_view>
-
 #include "workloads/npb.hpp"
 
 namespace spcd::core {
@@ -75,27 +73,6 @@ TEST(RunnerTest, SpcdRunRecordsMatrixAndOverheads) {
   EXPECT_LT(m.detection_overhead, 0.10);
   ASSERT_NE(m.spcd_matrix, nullptr);
   EXPECT_GT(m.spcd_matrix->total(), 0u);
-}
-
-TEST(RunnerTest, SpcdRunTraceCarriesEpochInstants) {
-  // The engine's epoch heartbeat, where the SPCD kernel flushes the
-  // detector's fault batch, shows up in a traced run as engine/epoch
-  // instants numbered from 1.
-  RunnerConfig config = fast_config();
-  config.trace.enabled = true;
-  Runner runner(config);
-  const auto m = runner.run_once("sp", tiny_sp(), MappingPolicy::kSpcd, 0);
-  ASSERT_NE(m.obs, nullptr);
-  ASSERT_EQ(m.obs->dropped, 0u);
-  std::uint64_t epochs = 0;
-  for (const auto& ev : m.obs->events) {
-    if (std::string_view(ev.cat) == "engine" &&
-        std::string_view(ev.name) == "epoch") {
-      ++epochs;
-      EXPECT_EQ(ev.arg0.value, epochs);
-    }
-  }
-  EXPECT_GT(epochs, 0u);
 }
 
 TEST(RunnerTest, RunPolicyReturnsAllRepetitions) {

@@ -11,6 +11,7 @@
 
 #include "chaos/adversary.hpp"
 #include "core/runner.hpp"
+#include "metrics_digest.hpp"
 #include "workloads/npb.hpp"
 
 namespace spcd {
@@ -59,6 +60,8 @@ void expect_identical(const std::vector<core::RunMetrics>& lhs,
 TEST(AdversarialDeterminismTest, SkewAttackIsByteIdenticalAcrossJobCounts) {
   const auto base = run_grid("1", chaos::AdversaryKind::kSkew);
   expect_identical(base, run_grid("4", chaos::AdversaryKind::kSkew));
+  // Across commits: the phantoms and every defense counter.
+  EXPECT_EQ(integer_metrics_digest(base), 0xd58e533969bcd578ULL);
 
   // Guard against vacuous success: the attack and the defenses both fired.
   std::uint64_t phantom_evidence = 0;
@@ -72,6 +75,7 @@ TEST(AdversarialDeterminismTest, SkewAttackIsByteIdenticalAcrossJobCounts) {
 TEST(AdversarialDeterminismTest, PhaseFlipAttackIsByteIdenticalAcrossGrid) {
   const auto base = run_grid("1", chaos::AdversaryKind::kPhaseFlip);
   expect_identical(base, run_grid("4", chaos::AdversaryKind::kPhaseFlip));
+  EXPECT_EQ(integer_metrics_digest(base), 0x44d06a1235ccfaafULL);
 }
 
 }  // namespace

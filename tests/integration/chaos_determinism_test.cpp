@@ -10,6 +10,7 @@
 
 #include "chaos/perturbation.hpp"
 #include "core/runner.hpp"
+#include "metrics_digest.hpp"
 #include "workloads/npb.hpp"
 
 namespace spcd {
@@ -63,6 +64,9 @@ TEST(ChaosDeterminismTest, PerturbedRunsAreByteIdenticalAcrossJobCounts) {
   }
   // Guard against vacuous success: the chaos layer actually perturbed.
   EXPECT_GT(total_perturbations, 0u);
+  // Across commits: drops, duplicates and forced collisions all run through
+  // the detector's delivery path, which the reference cache never perturbs.
+  EXPECT_EQ(integer_metrics_digest(serial), 0x9bd36fc8661bd002ULL);
 }
 
 }  // namespace

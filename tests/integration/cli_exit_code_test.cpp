@@ -96,6 +96,16 @@ TEST(CliExitCodeTest, BadLogLevelWarns) {
       << output;
 }
 
+TEST(CliExitCodeTest, BadTraceValueWarns) {
+  // SPCD_TRACE is 0 or 1; anything else must say so rather than run
+  // silently untraced.
+  std::string output;
+  EXPECT_EQ(exit_code_of("SPCD_TRACE=yes " SPCDSIM_BINARY,
+                         "--bench cg --reps 1 --scale 0.01", &output),
+            0);
+  EXPECT_NE(output.find("SPCD_TRACE"), std::string::npos) << output;
+}
+
 #ifdef PERF_REGRESS_BINARY
 TEST(CliExitCodeTest, PerfRegressBadRepeatsExitsTwo) {
   EXPECT_EQ(exit_code_of(PERF_REGRESS_BINARY, "--repeats abc"), 2);

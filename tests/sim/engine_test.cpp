@@ -311,60 +311,5 @@ TEST_F(EngineTest, DeathOnNonInjectivePlacement) {
   EXPECT_DEATH(Engine(machine_, as, wl, {3, 3}), "Precondition");
 }
 
-// --- epoch heartbeat -------------------------------------------------------
-
-/// `threads` threads, each running `ops` compute ops of `cycles` cycles.
-ScriptedWorkload fixed_ops(std::uint32_t threads, std::uint32_t cycles,
-                           std::size_t ops) {
-  return ScriptedWorkload(std::vector<std::vector<Op>>(
-      threads, std::vector<Op>(ops, Op::compute(1, cycles))));
-}
-
-TEST(EngineEpochTest, EpochCountTracksSimulatedTime) {
-  // 200 ops x 100 cycles = 20'000 cycles per thread; epoch every 1'000
-  // cycles of simulated time. Epochs fire at commit-loop tops, so the
-  // boundaries at the very end of the run (after the last loop iteration)
-  // may not fire — the count is within a batch of the exact quotient.
-  Machine machine(arch::tiny_test_machine());
-  auto as = machine.make_address_space();
-  auto wl = fixed_ops(2, 100, 200);
-  EngineConfig cfg;
-  cfg.epoch_interval = 1'000;
-  Engine engine(machine, as, wl, {0, 2}, cfg);
-  engine.run();
-  EXPECT_LE(engine.epoch_count(), engine.finish_time() / 1'000);
-  EXPECT_GE(engine.epoch_count() + 7, engine.finish_time() / 1'000);
-  EXPECT_GE(engine.epoch_count(), 10u);
-}
-
-TEST(EngineEpochTest, EpochHooksFireInRegistrationOrderEveryEpoch) {
-  Machine machine(arch::tiny_test_machine());
-  auto as = machine.make_address_space();
-  auto wl = fixed_ops(1, 100, 100);  // 10'000 cycles
-  EngineConfig cfg;
-  cfg.epoch_interval = 1'000;
-  Engine engine(machine, as, wl, {0}, cfg);
-  std::vector<int> order;
-  engine.add_epoch_hook([&order](Engine&) { order.push_back(1); });
-  engine.add_epoch_hook([&order](Engine&) { order.push_back(2); });
-  engine.run();
-  ASSERT_EQ(order.size(), 2 * engine.epoch_count());
-  for (std::size_t i = 0; i < order.size(); i += 2) {
-    EXPECT_EQ(order[i], 1);
-    EXPECT_EQ(order[i + 1], 2);
-  }
-}
-
-TEST(EngineEpochTest, ZeroIntervalDisablesEpochs) {
-  Machine machine(arch::tiny_test_machine());
-  auto as = machine.make_address_space();
-  auto wl = fixed_ops(1, 100, 100);
-  EngineConfig cfg;
-  cfg.epoch_interval = 0;
-  Engine engine(machine, as, wl, {0}, cfg);
-  engine.run();
-  EXPECT_EQ(engine.epoch_count(), 0u);
-}
-
 }  // namespace
 }  // namespace spcd::sim

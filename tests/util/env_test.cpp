@@ -9,20 +9,20 @@ namespace {
 
 TEST(EnvTest, U64FallbackWhenUnset) {
   ::unsetenv("SPCD_TEST_ENV_U64");
-  EXPECT_EQ(env_u64("SPCD_TEST_ENV_U64", 7), 7u);
+  EXPECT_EQ(env_u64_clamped("SPCD_TEST_ENV_U64", 7, 0, 1 << 20), 7u);
 }
 
 TEST(EnvTest, U64ParsesValue) {
   ::setenv("SPCD_TEST_ENV_U64", "1234", 1);
-  EXPECT_EQ(env_u64("SPCD_TEST_ENV_U64", 7), 1234u);
+  EXPECT_EQ(env_u64_clamped("SPCD_TEST_ENV_U64", 7, 0, 1 << 20), 1234u);
   ::unsetenv("SPCD_TEST_ENV_U64");
 }
 
 TEST(EnvTest, U64RejectsGarbage) {
   ::setenv("SPCD_TEST_ENV_U64", "12abc", 1);
-  EXPECT_EQ(env_u64("SPCD_TEST_ENV_U64", 7), 7u);
+  EXPECT_EQ(env_u64_clamped("SPCD_TEST_ENV_U64", 7, 0, 1 << 20), 7u);
   ::setenv("SPCD_TEST_ENV_U64", "", 1);
-  EXPECT_EQ(env_u64("SPCD_TEST_ENV_U64", 7), 7u);
+  EXPECT_EQ(env_u64_clamped("SPCD_TEST_ENV_U64", 7, 0, 1 << 20), 7u);
   ::unsetenv("SPCD_TEST_ENV_U64");
 }
 
