@@ -1,13 +1,14 @@
 // Deterministic synthetic mapping problems for the mapper-scale surfaces
-// (fig17_mapper_scale and the micro_mapper_scale perf kernel). Both need
-// the same inputs so the figure's quality numbers and the perf gate's
-// checksummed placements describe one workload: clustered communication
-// (the structure SPCD detects in real applications — tight groups with a
-// thin ring of neighbor traffic and sparse noise) on topologies whose
-// context count equals the thread count at every sweep point.
+// (fig17_mapper_scale, PinnedKernelsTest.MapperScale and the 64.3 ms
+// RemapBoundTest). All need the same inputs so the figure's quality
+// numbers, the pinned placements and the timed remap describe one
+// workload: clustered communication (the structure SPCD detects in real
+// applications — tight groups with a thin ring of neighbor traffic and
+// sparse noise) on topologies whose context count equals the thread count
+// at every sweep point.
 //
 // Everything here is a pure function of (n, seed): the figure CSV and the
-// kernel checksum are reproducible byte for byte on any host.
+// pinned digest are reproducible byte for byte on any host.
 #pragma once
 
 #include <cstdint>

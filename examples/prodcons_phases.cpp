@@ -3,14 +3,13 @@
 // SPCD with migration enabled and watch the mechanism (a) detect the
 // neighbor pairing of phase 1, (b) migrate pairs together, and (c) react
 // when the pairing flips to distant threads in phase 2.
-//
-// Usage: prodcons_phases [iterations_per_phase] [phases]
 #include <cstdio>
 #include <functional>
 
 #include "core/policy.hpp"
 #include "core/spcd_kernel.hpp"
 #include "sim/machine.hpp"
+#include "util/cli.hpp"
 #include "util/heatmap.hpp"
 #include "workloads/prodcons.hpp"
 
@@ -18,9 +17,19 @@ int main(int argc, char** argv) {
   using namespace spcd;
 
   workloads::ProdConsParams params;
-  params.iterations_per_phase =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 30;
-  params.phases = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 2;
+  params.iterations_per_phase = 30;
+  params.phases = 2;
+  util::CliArgs args(argc, argv,
+                     "usage: prodcons_phases [iterations_per_phase] [phases]\n"
+                     "  each at least 1; defaults 30 and 2\n");
+  for (int operand = 0; args.next(); ++operand) {
+    if (args.help()) return 0;
+    if (operand > 1) args.fail("unexpected operand %s\n", args.arg().c_str());
+    if (operand == 0) {
+      params.iterations_per_phase = args.count_operand("iterations_per_phase");
+    }
+    if (operand == 1) params.phases = args.count_operand("phases");
+  }
   workloads::ProducerConsumer workload(params, /*seed=*/0xBEEF);
   const std::uint32_t n = workload.num_threads();
 

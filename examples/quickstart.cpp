@@ -3,26 +3,34 @@
 // headline metrics. This exercises the whole public API in ~50 lines:
 // machine specs, the runner pipeline, and the detected communication
 // matrix.
-//
-// Usage: quickstart [benchmark] [repetitions]
-//   benchmark: bt cg dc ep ft is lu mg sp ua (default sp)
-//   repetitions: default 3 (the paper uses 10)
 #include <cstdio>
 #include <string>
 
 #include "core/runner.hpp"
+#include "util/cli.hpp"
 #include "util/heatmap.hpp"
 #include "util/table.hpp"
 #include "workloads/npb.hpp"
 
 namespace {
 
+const char* kUsage =
+    "usage: quickstart [benchmark] [repetitions]\n"
+    "  benchmark: bt cg dc ep ft is lu mg sp ua (default sp)\n"
+    "  repetitions: at least 1, default 3 (the paper uses 10)\n";
+
 int run(int argc, char** argv) {
   using namespace spcd;
 
-  const std::string bench = argc > 1 ? argv[1] : "sp";
-  const std::uint32_t reps =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 3;
+  std::string bench = "sp";
+  std::uint32_t reps = 3;
+  util::CliArgs args(argc, argv, kUsage);
+  for (int operand = 0; args.next(); ++operand) {
+    if (args.help()) return 0;
+    if (operand > 1) args.fail("unexpected operand %s\n", args.arg().c_str());
+    if (operand == 0) bench = args.arg();
+    if (operand == 1) reps = args.count_operand("repetitions");
+  }
 
   core::RunnerConfig config;
   config.repetitions = reps;

@@ -107,8 +107,7 @@ int run(int argc, char** argv) {
     } else if (args.is("--scale")) {
       scale = args.positive_real();
     } else if (args.is("--granularity")) {
-      config.spcd.table.granularity_shift =
-          static_cast<unsigned>(args.u64());
+      config.spcd.table.granularity_shift = args.u32();
     } else if (args.is("--fault-ratio")) {
       config.spcd.extra_fault_ratio = args.real();
     } else if (args.is("--window")) {

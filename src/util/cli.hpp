@@ -1,5 +1,6 @@
-// Strict command-line flag parsing shared by the CLIs (spcdsim,
-// spcd_pipeline, spcdd). The contract every binary honors:
+// Strict command-line parsing shared by the CLIs (spcdsim, spcd_pipeline,
+// spcdd, and the examples' positional operands). The contract every binary
+// honors:
 //
 //   * an unknown flag, a flag missing its value, or a malformed numeric
 //     value prints the offending input plus the usage text to stderr and
@@ -20,6 +21,7 @@
 //   }
 #pragma once
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -55,23 +57,19 @@ class CliArgs {
 
   /// Strict non-negative integer value: rejects empty, negative, and
   /// trailing garbage instead of truncating.
-  std::uint64_t u64() {
-    const char* text = value();
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (*text == '\0' || *text == '-' || end == text || *end != '\0') {
-      fail("%s is not a non-negative integer\n",
-           (arg_ + "=" + text).c_str());
-    }
-    return static_cast<std::uint64_t>(v);
-  }
+  std::uint64_t u64() { return parse_u64(arg_, value(), UINT64_MAX); }
   /// u64() that must also fit 32 bits: "--reps 4294967297" exits 2
   /// instead of wrapping to 1.
   std::uint32_t u32() {
-    const std::uint64_t v = u64();
-    if (v > UINT32_MAX) {
-      fail("%s is out of range\n", (arg_ + "=" + std::to_string(v)).c_str());
-    }
+    return static_cast<std::uint32_t>(parse_u64(arg_, value(), UINT32_MAX));
+  }
+
+  /// The current argument itself as a positional count operand
+  /// ("quickstart sp 3"): parsed as u32(), and 0 is rejected too. `name`
+  /// labels it in the error message.
+  std::uint32_t count_operand(const char* name) const {
+    const std::uint64_t v = parse_u64(name, arg_.c_str(), UINT32_MAX);
+    if (v == 0) fail("%s must be at least 1\n", name);
     return static_cast<std::uint32_t>(v);
   }
 
@@ -124,6 +122,23 @@ class CliArgs {
   }
 
  private:
+  /// `text` as an integer in [0, max]. A leading digit is required,
+  /// because strtoull skips spaces and wraps " -1"; ERANGE is checked,
+  /// because it clamps a larger value to ULLONG_MAX.
+  std::uint64_t parse_u64(const std::string& name, const char* text,
+                          std::uint64_t max) const {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0') {
+      fail("%s is not a non-negative integer\n", (name + "=" + text).c_str());
+    }
+    if (errno == ERANGE || v > max) {
+      fail("%s is out of range\n", (name + "=" + text).c_str());
+    }
+    return static_cast<std::uint64_t>(v);
+  }
+
   int argc_;
   char** argv_;
   const char* usage_;

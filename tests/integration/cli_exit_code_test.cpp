@@ -1,8 +1,9 @@
 // The CLI error contract: any malformed input — unknown flag, policy or
 // mapper, malformed or out-of-range value, invalid configuration — makes
-// spcdsim, spcd_pipeline and perf_regress exit with code 2 (see ConfigError
-// in core/spcd_config.hpp and util::CliArgs). The binary paths are injected
-// by CMake as SPCDSIM_BINARY, SPCD_PIPELINE_BINARY and PERF_REGRESS_BINARY.
+// spcdsim, spcd_pipeline and the examples quickstart and prodcons_phases
+// exit with code 2 (see ConfigError in core/spcd_config.hpp and
+// util::CliArgs). The binary paths are injected by CMake as SPCDSIM_BINARY,
+// SPCD_PIPELINE_BINARY, QUICKSTART_BINARY and PRODCONS_PHASES_BINARY.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -60,6 +61,10 @@ TEST(CliExitCodeTest, HelpExitsZero) {
 TEST(CliExitCodeTest, MalformedValueExitsTwo) {
   EXPECT_EQ(exit_code_of("--reps notanumber"), 2);
   EXPECT_EQ(exit_code_of("--reps 4294967297"), 2);  // would wrap to 1
+  // These would run as 12, as 2^64 - 1, and clamped to 2^64 - 1.
+  EXPECT_EQ(exit_code_of("--granularity 4294967308"), 2);
+  EXPECT_EQ(exit_code_of("--window ' -1'"), 2);
+  EXPECT_EQ(exit_code_of("--window 99999999999999999999"), 2);
 }
 
 TEST(CliExitCodeTest, UnknownMapperExitsTwoListingTheRegistry) {
@@ -106,13 +111,24 @@ TEST(CliExitCodeTest, BadTraceValueWarns) {
   EXPECT_NE(output.find("SPCD_TRACE"), std::string::npos) << output;
 }
 
-#ifdef PERF_REGRESS_BINARY
-TEST(CliExitCodeTest, PerfRegressBadRepeatsExitsTwo) {
-  EXPECT_EQ(exit_code_of(PERF_REGRESS_BINARY, "--repeats abc"), 2);
-  EXPECT_EQ(exit_code_of(PERF_REGRESS_BINARY, "--repeats 0"), 2);
-  EXPECT_EQ(exit_code_of(PERF_REGRESS_BINARY, "--frobnicate"), 2);
+// A count operand of the examples is a whole number in [1, 2^32 - 1]: an
+// empty, non-numeric, negative, zero or too large one exits 2 instead of
+// running 0 (or 2^32 - 1) repetitions or tripping a contract abort.
+constexpr const char* kBadCounts[] = {"abc", "''", "0", "-1", "4294967296"};
+
+TEST(CliExitCodeTest, QuickstartBadRepetitionsExitsTwo) {
+  for (const std::string reps : kBadCounts) {
+    EXPECT_EQ(exit_code_of(QUICKSTART_BINARY, "sp " + reps), 2) << reps;
+  }
+  EXPECT_EQ(exit_code_of(QUICKSTART_BINARY, "sp 1 2"), 2);  // extra operand
 }
-#endif
+
+TEST(CliExitCodeTest, ProdConsPhasesBadOperandExitsTwo) {
+  for (const std::string count : kBadCounts) {
+    EXPECT_EQ(exit_code_of(PRODCONS_PHASES_BINARY, count), 2) << count;
+    EXPECT_EQ(exit_code_of(PRODCONS_PHASES_BINARY, "30 " + count), 2) << count;
+  }
+}
 
 #ifdef SPCD_PIPELINE_BINARY
 TEST(CliExitCodeTest, PipelineBadScaleExitsTwo) {
