@@ -2,6 +2,7 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -13,7 +14,7 @@
 #include <optional>
 #include <sstream>
 
-#include "chaos/perturbation.hpp"
+#include "core/metrics_export.hpp"
 #include "obs/export.hpp"
 #include "util/env.hpp"
 #include "util/journal.hpp"
@@ -38,14 +39,6 @@ const core::MappingPolicy kPolicies[] = {
 // FNV-1a, the integrity checksum of the cache trailer. Not cryptographic;
 // it only needs to catch truncation and accidental corruption.
 std::uint64_t fnv1a(const std::string& data) { return util::fnv1a64(data); }
-
-/// Canonical cell identity, used for journal replay matching, supervisor
-/// job names, and quarantine reports.
-std::string cell_name(const std::string& bench, core::MappingPolicy policy,
-                      std::uint32_t rep) {
-  return bench + "/" + core::to_string(policy) + "/rep" +
-         std::to_string(rep);
-}
 
 bool parse_cache_payload(const std::string& payload, PipelineResults& out) {
   std::istringstream in(payload);
@@ -89,9 +82,10 @@ std::string cache_trailer(const std::string& payload) {
 }
 
 // --- graceful shutdown -----------------------------------------------------
-// SIGINT/SIGTERM set a flag; the supervisor's monitor thread polls it and
-// stops dispatching. The flag is written by the handler and read on another
-// thread: a lock-free atomic is both async-signal-safe and race-free.
+// SIGINT/SIGTERM set a flag; each cell reads it before it starts, so a stop
+// leaves the unstarted cells for resume. The flag is written by the handler
+// and read on worker threads: a lock-free atomic is both async-signal-safe
+// and race-free.
 
 std::atomic<int> g_stop_signal{0};
 static_assert(std::atomic<int>::is_always_lock_free);
@@ -149,20 +143,6 @@ double configured_scale() {
 
 std::string configured_cache() {
   return util::env_string("SPCD_CACHE", "spcd_results.cache");
-}
-
-core::SupervisionCounters PipelineOutcome::counters() const {
-  core::SupervisionCounters c;
-  c.cells_retried = supervision.retried;
-  c.cells_quarantined = supervision.quarantined.size();
-  c.cells_resumed = cells_resumed;
-  c.journal_records = journal_records;
-  c.watchdog_fires = supervision.watchdog_fires;
-  return c;
-}
-
-bool PipelineOutcome::complete() const {
-  return !interrupted && supervision.all_completed();
 }
 
 std::string serialize_metrics_row(const std::string& bench,
@@ -323,11 +303,6 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
   config.spcd.mapping = options.mapping;
   config.trace = obs::TraceConfig::from_env();
   core::Runner runner(config);
-  // Worker-level fault injection (SPCD_CHAOS_WORKER_*): applied around the
-  // cell, never inside the simulation, so a successful attempt computes
-  // exactly what an unperturbed run would.
-  const chaos::PerturbationConfig worker_chaos =
-      chaos::worker_config_from_env();
 
   // One factory per benchmark; factories are stateless and shared across
   // cells. Pre-size every result slot so concurrent cells write disjoint
@@ -338,7 +313,6 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
     const core::WorkloadFactory* factory;
     core::MappingPolicy policy;
     std::uint32_t rep;
-    std::uint64_t seed;  ///< decorrelates worker chaos and backoff jitter
     core::RunMetrics* slot;
   };
   std::vector<core::WorkloadFactory> factories;
@@ -353,12 +327,9 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
       auto& slots = out.results[info.name][policy];
       slots.assign(out.repetitions, core::RunMetrics{});
       for (std::uint32_t rep = 0; rep < out.repetitions; ++rep) {
-        cells.push_back(Cell{
-            cell_name(info.name, policy, rep), &info.name,
-            &factories.back(), policy, rep,
-            util::derive_seed(runner.cell_seed(info.name, rep),
-                              static_cast<std::uint64_t>(policy)),
-            &slots[rep]});
+        cells.push_back(Cell{core::Runner::cell_name(info.name, policy, rep),
+                             &info.name, &factories.back(), policy, rep,
+                             &slots[rep]});
         index[cells.back().name] = cells.size() - 1;
       }
     }
@@ -389,7 +360,8 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
                           "skipping it", options.journal_path.c_str());
             continue;
           }
-          const auto it = index.find(cell_name(bench, policy, rep));
+          const auto it =
+              index.find(core::Runner::cell_name(bench, policy, rep));
           if (it == index.end() || done[it->second]) continue;
           *cells[it->second].slot = m;
           done[it->second] = 1;
@@ -413,19 +385,16 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
                     : util::Journal::rotate(options.journal_path, meta,
                                             kept);
   }
-  const std::vector<char> resumed = done;  // for the trace export below
 
-  // Dispatch the missing cells under supervision. The journal mutex also
-  // orders the slot write with the journal append, so a journaled record
-  // always describes a fully published result.
-  util::SupervisorConfig sup_config = util::SupervisorConfig::from_env();
-  if (options.handle_signals) {
-    sup_config.stop_poll = [] {
-      return g_stop_signal.load(std::memory_order_relaxed) != 0;
-    };
-  }
+  // Dispatch the missing cells. The journal mutex also orders the slot
+  // write with the journal append, so a journaled record always describes
+  // a fully published result; it guards outcome.failed too.
   SignalGuard signal_guard(options.handle_signals);
-  util::Supervisor supervisor(options.jobs, sup_config, config.base_seed);
+  const auto stop_requested = [&options] {
+    return options.handle_signals &&
+           g_stop_signal.load(std::memory_order_relaxed) != 0;
+  };
+  util::ThreadPool pool(options.jobs);
   std::mutex journal_mu;
   std::atomic<std::size_t> completed{outcome.cells_resumed};
   std::atomic<std::size_t> running{0};
@@ -433,47 +402,53 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
   const auto t_start = std::chrono::steady_clock::now();
   for (std::size_t idx = 0; idx < cells.size(); ++idx) {
     if (done[idx]) continue;
-    const Cell& cell = cells[idx];
-    supervisor.submit(
-        cell.name, cell.seed,
-        [&, idx, cell](const util::CancelToken& token,
-                       std::uint32_t attempt) {
-          chaos::apply_worker_plan(
-              chaos::worker_plan(worker_chaos, cell.seed, attempt),
-              worker_chaos, token);
-          running.fetch_add(1, std::memory_order_relaxed);
-          const auto t0 = std::chrono::steady_clock::now();
-          core::RunMetrics m = runner.run_once(*cell.bench, *cell.factory,
-                                               cell.policy, cell.rep);
-          const double cell_seconds =
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-          cell_wall_seconds[idx] = cell_seconds;
-          {
-            std::lock_guard<std::mutex> lock(journal_mu);
-            *cell.slot = std::move(m);
-            if (journal.is_open()) {
-              journal.append(serialize_metrics_row(*cell.bench, cell.policy,
-                                                   cell.rep, *cell.slot));
-            }
-          }
-          const std::size_t in_flight =
-              running.fetch_sub(1, std::memory_order_relaxed);
-          const std::size_t done_count =
-              completed.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (options.progress) {
-            std::fprintf(stderr,
-                         "[pipeline] %3zu/%zu %s/%-6s rep %u  %6.2fs  "
-                         "(jobs=%u, in-flight=%zu)\n",
-                         done_count, cells.size(), cell.bench->c_str(),
-                         core::to_string(cell.policy), cell.rep,
-                         cell_seconds, supervisor.size(), in_flight);
-          }
-        });
+    // The body catches its own failure: a serial pool's submit() would
+    // rethrow it and end the sweep.
+    pool.submit([&, idx] {
+      const Cell& cell = cells[idx];
+      if (stop_requested()) return;  // left unstarted for resume
+      running.fetch_add(1, std::memory_order_relaxed);
+      const auto t0 = std::chrono::steady_clock::now();
+      core::RunMetrics m;
+      try {
+        m = runner.run_once(*cell.bench, *cell.factory, cell.policy, cell.rep);
+      } catch (const std::exception& e) {
+        running.fetch_sub(1, std::memory_order_relaxed);
+        SPCD_LOG_WARN("pipeline: %s failed: %s", cell.name.c_str(), e.what());
+        std::lock_guard<std::mutex> lock(journal_mu);
+        outcome.failed.push_back(util::JobErrors::Entry{
+            cell.name, e.what(), std::current_exception()});
+        return;
+      }
+      const double cell_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      cell_wall_seconds[idx] = cell_seconds;
+      {
+        std::lock_guard<std::mutex> lock(journal_mu);
+        *cell.slot = std::move(m);
+        if (journal.is_open()) {
+          journal.append(serialize_metrics_row(*cell.bench, cell.policy,
+                                               cell.rep, *cell.slot));
+        }
+      }
+      const std::size_t in_flight =
+          running.fetch_sub(1, std::memory_order_relaxed);
+      const std::size_t done_count =
+          completed.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (options.progress) {
+        std::fprintf(stderr,
+                     "[pipeline] %3zu/%zu %s/%-6s rep %u  %6.2fs  "
+                     "(jobs=%u, in-flight=%zu)\n",
+                     done_count, cells.size(), cell.bench->c_str(),
+                     core::to_string(cell.policy), cell.rep, cell_seconds,
+                     pool.size(), in_flight);
+      }
+    });
   }
-  outcome.supervision = supervisor.wait();
-  outcome.interrupted = outcome.supervision.stopped;
+  pool.wait();
+  outcome.interrupted = stop_requested();
+  std::ranges::sort(outcome.failed, {}, &util::JobErrors::Entry::context);
   journal.sync();
   outcome.journal_records = journal.records_written();
 
@@ -484,18 +459,17 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
             .count();
     std::fprintf(stderr,
                  "[pipeline] %zu cells in %.2fs wall (jobs=%u, resumed=%zu, "
-                 "retried=%" PRIu64 ", quarantined=%zu)\n",
-                 cells.size(), total_seconds, supervisor.size(),
-                 outcome.cells_resumed, outcome.supervision.retried,
-                 outcome.supervision.quarantined.size());
+                 "failed=%zu)\n",
+                 cells.size(), total_seconds, pool.size(),
+                 outcome.cells_resumed, outcome.failed.size());
   }
 
   if (config.trace.enabled) {
     // SPCD_TRACE=1: publish the merged per-cell captures (deterministic,
     // sim-time) and the per-cell wall timings (explicitly wall-clock, so
-    // *not* deterministic) into SPCD_OUT_DIR. The supervisor contributes
-    // its own capture: harness-health counters plus one event per
-    // resumed/retried/quarantined cell (cells referenced by grid index).
+    // *not* deterministic) into SPCD_OUT_DIR. The sweep adds a capture of
+    // its own: counters plus one event per resumed or failed cell (cells
+    // referenced by grid index).
     std::vector<obs::CaptureRef> captures;
     captures.reserve(cells.size() + 1);
     for (const Cell& cell : cells) {
@@ -505,47 +479,27 @@ PipelineOutcome run_pipeline_supervised(const PipelineOptions& options) {
               std::to_string(cell.rep),
           cell.slot->obs.get()});
     }
-    obs::RunCapture sup_capture;
-    {
-      const core::SupervisionCounters sc = outcome.counters();
-      sup_capture.metrics.counter("supervisor.cells_retried")
-          .add(sc.cells_retried);
-      sup_capture.metrics.counter("supervisor.cells_quarantined")
-          .add(sc.cells_quarantined);
-      sup_capture.metrics.counter("supervisor.cells_resumed")
-          .add(sc.cells_resumed);
-      sup_capture.metrics.counter("supervisor.journal_records")
-          .add(sc.journal_records);
-      sup_capture.metrics.counter("supervisor.watchdog_fires")
-          .add(sc.watchdog_fires);
-      util::Cycles t = 0;
-      for (std::size_t idx = 0; idx < cells.size(); ++idx) {
-        if (!resumed[idx]) continue;
-        sup_capture.events.push_back(obs::TraceEvent{
-            t++, "supervisor", "cell_resume", obs::EventKind::kInstant,
-            obs::TraceArg{"cell", idx}, obs::TraceArg{}});
-      }
-      for (const util::QuarantinedJob& job :
-           outcome.supervision.recovered) {
-        const auto it = index.find(job.name);
-        sup_capture.events.push_back(obs::TraceEvent{
-            t++, "supervisor", "cell_retry", obs::EventKind::kInstant,
-            obs::TraceArg{"cell",
-                          it != index.end() ? it->second : cells.size()},
-            obs::TraceArg{"attempts", job.attempts}});
-      }
-      for (const util::QuarantinedJob& job :
-           outcome.supervision.quarantined) {
-        const auto it = index.find(job.name);
-        sup_capture.events.push_back(obs::TraceEvent{
-            t++, "supervisor", "cell_quarantine", obs::EventKind::kInstant,
-            obs::TraceArg{"cell",
-                          it != index.end() ? it->second : cells.size()},
-            obs::TraceArg{"attempts", job.attempts}});
-      }
-      sup_capture.recorded = sup_capture.events.size();
+    obs::RunCapture sweep_capture;
+    sweep_capture.metrics.counter("pipeline.cells_failed")
+        .add(outcome.failed.size());
+    sweep_capture.metrics.counter("pipeline.cells_resumed")
+        .add(outcome.cells_resumed);
+    sweep_capture.metrics.counter("pipeline.journal_records")
+        .add(outcome.journal_records);
+    util::Cycles t = 0;
+    for (std::size_t idx = 0; idx < cells.size(); ++idx) {
+      if (!done[idx]) continue;
+      sweep_capture.events.push_back(obs::TraceEvent{
+          t++, "pipeline", "cell_resume", obs::EventKind::kInstant,
+          obs::TraceArg{"cell", idx}, obs::TraceArg{}});
     }
-    captures.push_back(obs::CaptureRef{"supervisor", &sup_capture});
+    for (const util::JobErrors::Entry& failed : outcome.failed) {
+      sweep_capture.events.push_back(obs::TraceEvent{
+          t++, "pipeline", "cell_failed", obs::EventKind::kInstant,
+          obs::TraceArg{"cell", index.at(failed.context)}, obs::TraceArg{}});
+    }
+    sweep_capture.recorded = sweep_capture.events.size();
+    captures.push_back(obs::CaptureRef{"pipeline", &sweep_capture});
     const std::string trace_path = util::out_path("pipeline_trace.json");
     if (std::ofstream trace(trace_path, std::ios::binary | std::ios::trunc);
         trace && (trace << obs::export_chrome_trace(captures)).flush()) {
@@ -584,14 +538,7 @@ PipelineResults compute_pipeline(const PipelineOptions& options) {
   opts.resume = false;
   opts.handle_signals = false;
   PipelineOutcome outcome = run_pipeline_supervised(opts);
-  if (!outcome.supervision.quarantined.empty()) {
-    std::vector<util::JobErrors::Entry> entries;
-    entries.reserve(outcome.supervision.quarantined.size());
-    for (const util::QuarantinedJob& job : outcome.supervision.quarantined) {
-      entries.push_back(util::JobErrors::Entry{job.name, job.error, {}});
-    }
-    throw util::JobErrors(std::move(entries));
-  }
+  if (!outcome.failed.empty()) throw util::JobErrors(std::move(outcome.failed));
   return std::move(outcome.results);
 }
 
@@ -621,16 +568,14 @@ const PipelineResults& pipeline_results() {
                    options.journal_path.c_str());
       std::exit(130);
     }
-    if (!outcome.supervision.all_completed()) {
-      for (const util::QuarantinedJob& job :
-           outcome.supervision.quarantined) {
-        std::fprintf(stderr,
-                     "[pipeline] quarantined: %s after %u attempt(s): %s\n",
-                     job.name.c_str(), job.attempts, job.error.c_str());
+    if (!outcome.failed.empty()) {
+      for (const util::JobErrors::Entry& failed : outcome.failed) {
+        std::fprintf(stderr, "[pipeline] failed: %s: %s\n",
+                     failed.context.c_str(), failed.message.c_str());
       }
       std::fprintf(stderr,
                    "[pipeline] sweep incomplete; completed cells are "
-                   "journaled in %s — rerun to retry the rest\n",
+                   "journaled in %s — rerun to recompute the rest\n",
                    options.journal_path.c_str());
       std::exit(3);
     }

@@ -5,19 +5,20 @@
 // binary then renders its own figure from the cache.
 //
 // The grid is computed in parallel: every (benchmark, policy, repetition)
-// cell is an independent job on a util::Supervisor (a util::ThreadPool with
-// per-cell watchdog, retry and quarantine). Each cell's RNG streams are
-// derived from (benchmark, policy, repetition) alone (see
+// cell is an independent job on a util::ThreadPool. Each cell's RNG streams
+// are derived from (benchmark, policy, repetition) alone (see
 // core::Runner::cell_seed), and cells land in pre-sized slots serialized
 // in canonical order, so the cache file is byte-identical for any job
-// count — SPCD_JOBS=1 reproduces the serial path exactly.
+// count — SPCD_JOBS=1 reproduces the serial path exactly. For the same
+// reason a cell that throws runs once: a rerun would repeat the failure.
+// It is reported by name and the rest of the grid still completes.
 //
 // Crash safety: when a journal path is configured, every completed cell is
 // appended to a CRC-framed journal (util::Journal) and fsync'd as it
 // finishes. A crashed, killed, or interrupted sweep resumes by replaying
 // the journal's intact prefix and recomputing only the missing cells; the
 // merged cache is byte-identical to an uninterrupted run. SIGINT/SIGTERM
-// (when enabled) stop dispatching, drain running cells, and leave the
+// (when enabled) stop dispatching, let running cells finish, and leave the
 // journal behind for resumption.
 //
 // Environment knobs:
@@ -25,11 +26,6 @@
 //   SPCD_SCALE           workload length multiplier    (default 1.0)
 //   SPCD_CACHE           cache file path (default ./spcd_results.cache)
 //   SPCD_JOBS            worker threads (default hw concurrency, 1=serial)
-//   SPCD_CELL_RETRIES    retries per failed cell        (default 2)
-//   SPCD_CELL_TIMEOUT_MS per-attempt watchdog deadline  (default 0 = off)
-//   SPCD_CELL_BACKOFF_MS retry backoff base             (default 25)
-//   SPCD_DRAIN_MS        graceful-shutdown drain budget (default 5000)
-//   SPCD_CHAOS_WORKER_*  injected cell crashes and hangs (default off)
 //   SPCD_TRACE           export pipeline_trace.json     (default 0)
 #pragma once
 
@@ -37,9 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics_export.hpp"
 #include "core/runner.hpp"
-#include "util/supervisor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spcd::bench {
 
@@ -74,43 +69,42 @@ struct PipelineOptions {
   /// resume under a different mapper recomputes instead of merging.
   core::MappingConfig mapping;
 
-  // --- supervision / crash safety (run_pipeline_supervised) ---
+  // --- crash safety (run_pipeline_supervised) ---
   /// Journal file for completed cells; empty disables journaling.
   std::string journal_path;
   /// Replay an existing journal first and recompute only missing cells.
   bool resume = false;
   /// Install SIGINT/SIGTERM handlers for the duration of the sweep: a
-  /// signal stops dispatching, drains running cells, and flushes the
+  /// signal stops dispatching, lets running cells finish, and flushes the
   /// journal (the outcome reports interrupted = true).
   bool handle_signals = false;
 };
 
-/// What one supervised sweep produced, beyond the results themselves.
+/// What one sweep produced, beyond the results themselves.
 struct PipelineOutcome {
   PipelineResults results;
-  util::SupervisorReport supervision;
+  /// Cells that threw, sorted by name: context is the cell name
+  /// (core::Runner::cell_name), message the error. Each ran once; its
+  /// slot in `results` keeps a default RunMetrics.
+  std::vector<util::JobErrors::Entry> failed;
   std::size_t cells_total = 0;     ///< grid size (benchmarks x 4 x reps)
   std::size_t cells_resumed = 0;   ///< cells replayed from the journal
   std::uint64_t journal_records = 0;  ///< records in the journal on exit
-  bool interrupted = false;        ///< a signal/stop ended the sweep early
+  bool interrupted = false;        ///< a signal ended the sweep early
 
-  /// The harness-health counters, for metrics_json / trace export.
-  core::SupervisionCounters counters() const;
-  /// Every cell has a result (nothing skipped, nothing quarantined).
-  bool complete() const;
+  /// Every cell has a result (none failed, none left by a signal).
+  bool complete() const { return !interrupted && failed.empty(); }
 };
 
-/// Run the experiment grid under supervision (watchdog, retries,
-/// quarantine, optional journal + resume + signal handling). Deterministic
+/// Run the experiment grid: optional journal + resume + signal handling,
+/// and failed cells reported instead of aborting the sweep. Deterministic
 /// in `jobs`: any worker count produces bit-identical results, and a
 /// resumed sweep merges to the same bytes as an uninterrupted one. Reads
-/// the supervision, worker-chaos and SPCD_TRACE knobs from the
-/// environment.
+/// the SPCD_TRACE knob from the environment.
 PipelineOutcome run_pipeline_supervised(const PipelineOptions& options);
 
 /// Run the full experiment grid (no cache or journal involved). Throws
-/// util::JobErrors listing every quarantined cell if any cell failed all
-/// its retries. Deterministic in `jobs`.
+/// util::JobErrors listing every failed cell. Deterministic in `jobs`.
 PipelineResults compute_pipeline(const PipelineOptions& options);
 
 /// One cache/journal row for one run: "<bench> <policy> <rep>" followed by
@@ -157,8 +151,8 @@ bool load_cache_file(const std::string& path, PipelineResults& out);
 
 /// Load the pipeline results from cache, or compute and cache them —
 /// journaled, resumable, and signal-aware: an interrupted sweep exits 130
-/// with a resume hint, a sweep with quarantined cells exits 3 after
-/// listing them. Prints progress to stderr while computing.
+/// with a resume hint, a sweep with failed cells exits 3 after listing
+/// them. Prints progress to stderr while computing.
 const PipelineResults& pipeline_results();
 
 /// Render one normalized figure (paper Figures 8-15): for each benchmark a

@@ -9,7 +9,7 @@
 // Exit codes:
 //   0    sweep complete, cache written
 //   2    malformed command line
-//   3    sweep finished but cells were quarantined (journal kept)
+//   3    sweep finished but cells failed (journal kept)
 //   130  interrupted by SIGINT/SIGTERM (journal kept; rerun with --resume)
 #include <cinttypes>
 #include <cstdio>
@@ -28,11 +28,11 @@ const char* kUsage =
     "                     [--mapper blossom|greedy|hierarchical]\n"
     "                     [--cache FILE] [--no-progress]\n"
     "\n"
-    "Runs the 10x4xN experiment grid under supervision and writes the\n"
-    "results cache. Completed cells are journaled to <cache>.journal as\n"
-    "they finish; --resume replays that journal and recomputes only the\n"
-    "missing cells. Supervision knobs: SPCD_CELL_RETRIES,\n"
-    "SPCD_CELL_TIMEOUT_MS, SPCD_CELL_BACKOFF_MS, SPCD_DRAIN_MS.\n";
+    "Runs the 10x4xN experiment grid and writes the results cache.\n"
+    "Completed cells are journaled to <cache>.journal as they finish;\n"
+    "a cell that fails is listed with its error and the rest still run.\n"
+    "--resume replays that journal and recomputes only the missing\n"
+    "cells.\n";
 
 }  // namespace
 
@@ -80,13 +80,11 @@ int main(int argc, char** argv) {
 
   const bench::PipelineOutcome outcome =
       bench::run_pipeline_supervised(options);
-  const core::SupervisionCounters c = outcome.counters();
   std::fprintf(stderr,
-               "[pipeline] cells=%zu resumed=%" PRIu64 " retried=%" PRIu64
-               " quarantined=%" PRIu64 " watchdog=%" PRIu64
-               " journal_records=%" PRIu64 "\n",
-               outcome.cells_total, c.cells_resumed, c.cells_retried,
-               c.cells_quarantined, c.watchdog_fires, c.journal_records);
+               "[pipeline] cells=%zu resumed=%zu failed=%zu "
+               "journal_records=%" PRIu64 "\n",
+               outcome.cells_total, outcome.cells_resumed,
+               outcome.failed.size(), outcome.journal_records);
 
   if (outcome.interrupted) {
     std::fprintf(stderr,
@@ -95,15 +93,14 @@ int main(int argc, char** argv) {
                  options.journal_path.c_str());
     return 130;
   }
-  if (!outcome.supervision.all_completed()) {
-    for (const util::QuarantinedJob& job : outcome.supervision.quarantined) {
-      std::fprintf(stderr,
-                   "[pipeline] quarantined: %s after %u attempt(s): %s\n",
-                   job.name.c_str(), job.attempts, job.error.c_str());
+  if (!outcome.failed.empty()) {
+    for (const util::JobErrors::Entry& failed : outcome.failed) {
+      std::fprintf(stderr, "[pipeline] failed: %s: %s\n",
+                   failed.context.c_str(), failed.message.c_str());
     }
     std::fprintf(stderr,
-                 "[pipeline] sweep incomplete; rerun with --resume to retry "
-                 "the quarantined cells\n");
+                 "[pipeline] sweep incomplete; rerun with --resume to "
+                 "recompute the failed cells\n");
     return 3;
   }
   if (!bench::save_cache_file(cache, outcome.results)) {

@@ -32,6 +32,10 @@ int run(int argc, char** argv) {
     if (operand == 1) reps = args.count_operand("repetitions");
   }
 
+  // An unknown name throws std::invalid_argument here (exit 2), not
+  // inside every repetition.
+  (void)workloads::make_nas(bench, 0);
+
   core::RunnerConfig config;
   config.repetitions = reps;
   core::Runner runner(config);

@@ -4,12 +4,12 @@
 //   --serve    bind exactly one endpoint (--socket PATH or --tcp
 //              HOST:PORT; port 0 picks an ephemeral port and the
 //              resolved endpoint is printed), accept tenant sessions
-//              (one supervised job each), sweep tenant liveness,
-//              arbitrate placements globally, and journal every commit
-//              (rotating generations when --journal-max-* is set).
-//              SIGINT/SIGTERM drains gracefully: sessions get
-//              kShutdown, the supervisor drains within SPCD_DRAIN_MS,
-//              and the final metrics land on stdout.
+//              (one pool job each), sweep tenant liveness, arbitrate
+//              placements globally, and journal every commit (rotating
+//              generations when --journal-max-* is set). SIGINT/SIGTERM
+//              drains gracefully: each session sends kShutdown at its
+//              next poll and exits, and the final metrics land on
+//              stdout.
 //   --drive    run the scripted tenant fleet through fault-tolerant
 //              TenantClients (reconnect/backoff, resume, idempotent
 //              re-send). With --socket/--tcp it connects to a running
@@ -103,12 +103,10 @@ constexpr char kUsage[] =
     "\n"
     "environment\n"
     "  SPCD_CHAOS_NET_TEAR/_DROP/_DUP/_STALL[_MS]/_SEED  deterministic\n"
-    "                        network fault injection on --drive clients\n"
-    "  SPCD_DRAIN_MS         session drain budget on shutdown, ms\n"
-    "                        (default 5000)\n";
+    "                        network fault injection on --drive clients\n";
 
-// Set by the handler, read by the supervisor's stop poll on another
-// thread: a lock-free atomic is both async-signal-safe and race-free.
+// Set by the handler, read by the accept loop's stop poll: a lock-free
+// atomic is both async-signal-safe and race-free.
 std::atomic<int> g_signal{0};
 static_assert(std::atomic<int>::is_always_lock_free);
 void on_signal(int) { g_signal.store(1, std::memory_order_relaxed); }
@@ -132,7 +130,6 @@ struct Options {
   std::uint16_t tcp_port = 0;
   bool tcp_set = false;
   std::uint32_t max_pending = 64;
-  spcd::util::SupervisorConfig supervisor;  ///< session supervision knobs
   spcd::svc::ServiceConfig service;
   spcd::svc::DriverConfig driver;
   std::string metrics_out;
@@ -198,10 +195,6 @@ int run_serve(const Options& opt) {
   if (trace_cfg.enabled) service.set_trace_session(&trace);
 
   svc::ServerConfig server_cfg;
-  server_cfg.supervisor = opt.supervisor;
-  server_cfg.supervisor.stop_poll = [] {
-    return g_signal.load(std::memory_order_relaxed) != 0;
-  };
   server_cfg.max_pending_commits = opt.max_pending;
   svc::ServiceServer server(service, server_cfg);
 
@@ -229,20 +222,19 @@ int run_serve(const Options& opt) {
   std::signal(SIGTERM, on_signal);
   std::fflush(stdout);
 
-  server.accept_loop(*listener);  // returns once a stop was requested
-  const util::SupervisorReport report = server.drain();
+  // Returns once a signal arrived.
+  server.accept_loop(*listener, [] {
+    return g_signal.load(std::memory_order_relaxed) != 0;
+  });
+  server.drain();
   if (service.active_tenants() > 0) service.arbitrate_now();
 
   if (!opt.quiet) {
     const svc::ServerStats stats = server.stats();
     std::printf(
-        "spcdd: drained %llu sessions (completed=%llu skipped=%llu "
-        "watchdog=%llu resumed=%llu heartbeats=%llu retries=%llu "
-        "duplicates=%llu)\n",
+        "spcdd: drained %llu sessions (resumed=%llu heartbeats=%llu "
+        "retries=%llu duplicates=%llu)\n",
         static_cast<unsigned long long>(server.sessions_started()),
-        static_cast<unsigned long long>(report.completed),
-        static_cast<unsigned long long>(report.skipped),
-        static_cast<unsigned long long>(report.watchdog_fires),
         static_cast<unsigned long long>(stats.sessions_resumed),
         static_cast<unsigned long long>(stats.heartbeats),
         static_cast<unsigned long long>(stats.retries_sent),
@@ -310,7 +302,6 @@ int run_drive(const Options& opt) {
   if (trace_cfg.enabled) service.set_trace_session(&trace);
 
   svc::ServerConfig server_cfg;
-  server_cfg.supervisor = opt.supervisor;
   server_cfg.max_pending_commits = opt.max_pending;
   svc::ServiceServer server(service, server_cfg);
   svc::InProcListener listener;
@@ -371,7 +362,6 @@ int run_replay(const Options& opt) {
 int main(int argc, char** argv) {
   using spcd::util::CliArgs;
   Options opt;
-  opt.supervisor = spcd::util::SupervisorConfig::from_env();
   CliArgs args(argc, argv, kUsage);
   while (args.next()) {
     if (args.is("--serve")) {

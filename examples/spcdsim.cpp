@@ -28,17 +28,15 @@
 //                           events; open in chrome://tracing or Perfetto)
 //     --metrics-out <file>  write the machine-readable metrics JSON
 //
-// Environment: SPCD_JOBS (the --jobs default), SPCD_TRACE (capture without
-// exporting), the supervision knobs SPCD_CELL_RETRIES /
-// SPCD_CELL_TIMEOUT_MS / SPCD_CELL_BACKOFF_MS, and the worker hooks
-// SPCD_CHAOS_WORKER_* (which --chaos leaves in place).
+// Environment: SPCD_JOBS (the --jobs default) and SPCD_TRACE (capture
+// without exporting).
 //
 // Exit codes follow the SpcdConfig::validate() contract: any malformed
 // command line — unknown flag, missing or non-numeric value, unknown
 // bench/policy, invalid configuration — prints the offending input plus
-// the usage text and exits 2; --help exits 0. Repetitions run under
-// supervision: a repetition that exhausts its retries is quarantined and
-// the run exits 1 after printing everything it has.
+// the usage text and exits 2; --help exits 0. A repetition that throws is
+// listed with its error and the run exits 1, printing no table averaged
+// over it.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +51,7 @@
 #include "obs/export.hpp"
 #include "util/cli.hpp"
 #include "util/heatmap.hpp"
+#include "util/thread_pool.hpp"
 #include "util/table.hpp"
 #include "workloads/npb.hpp"
 
@@ -142,9 +141,6 @@ int run(int argc, char** argv) {
     }
   }
 
-  // The worker hooks have no flag: SPCD_CHAOS_WORKER_* applies on top of
-  // whatever --chaos set.
-  config.chaos = chaos::worker_config_from_env(config.chaos);
   // Exporting implies capturing: the SPCD_TRACE knob need not be set too.
   if (!trace_out.empty() || !metrics_out.empty()) {
     config.trace.enabled = true;
@@ -198,13 +194,16 @@ int run(int argc, char** argv) {
 
   std::printf("spcdsim: %s under %s, %u repetition(s), scale %.2f\n\n",
               bench.c_str(), policy_name.c_str(), reps, scale);
-  // Supervised sweep: flaky repetitions (e.g. injected worker crashes via
-  // SPCD_CHAOS_WORKER_*) are retried and, past the retry budget,
-  // quarantined instead of aborting the whole run.
-  util::SupervisorReport supervision;
-  const auto runs = runner.run_policy_supervised(
-      bench, factory, policy, util::SupervisorConfig::from_env(),
-      &supervision);
+  std::vector<core::RunMetrics> runs;
+  try {
+    runs = runner.run_policy(bench, factory, policy);
+  } catch (const util::JobErrors& e) {
+    for (const util::JobErrors::Entry& failed : e.errors()) {
+      std::fprintf(stderr, "failed: %s: %s\n", failed.context.c_str(),
+                   failed.message.c_str());
+    }
+    return 1;
+  }
 
   util::TextTable t;
   t.header({"metric", "mean", "±95% CI"});
@@ -277,29 +276,6 @@ int run(int argc, char** argv) {
   }
   std::fputs(t.render().c_str(), stdout);
 
-  // Harness-health counters (only shown when supervision did something, so
-  // clean runs keep their familiar output).
-  core::SupervisionCounters sup_counters;
-  sup_counters.cells_retried = supervision.retried;
-  sup_counters.cells_quarantined = supervision.quarantined.size();
-  sup_counters.watchdog_fires = supervision.watchdog_fires;
-  const bool supervised =
-      sup_counters.cells_retried != 0 || sup_counters.cells_quarantined != 0 ||
-      sup_counters.watchdog_fires != 0 || config.chaos.worker_enabled();
-  if (supervised) {
-    std::printf("\nsupervision: retried=%llu quarantined=%llu "
-                "watchdog_fires=%llu\n",
-                static_cast<unsigned long long>(sup_counters.cells_retried),
-                static_cast<unsigned long long>(
-                    sup_counters.cells_quarantined),
-                static_cast<unsigned long long>(
-                    sup_counters.watchdog_fires));
-    for (const auto& job : supervision.quarantined) {
-      std::printf("  quarantined: %s after %u attempt(s): %s\n",
-                  job.name.c_str(), job.attempts, job.error.c_str());
-    }
-  }
-
   if (!trace_out.empty()) {
     std::vector<obs::CaptureRef> captures;
     captures.reserve(runs.size());
@@ -319,8 +295,7 @@ int run(int argc, char** argv) {
     }
   }
   if (!metrics_out.empty()) {
-    const std::string json = core::metrics_json(
-        bench, policy_name, runs, supervised ? &sup_counters : nullptr);
+    const std::string json = core::metrics_json(bench, policy_name, runs);
     if (write_file(metrics_out, json)) {
       std::printf("(metrics written to %s)\n", metrics_out.c_str());
     } else {
@@ -336,9 +311,7 @@ int run(int argc, char** argv) {
                   util::render_heatmap(m->as_double(), m->size()).c_str());
     }
   }
-  // Quarantined repetitions mean the sweep ran to the end but is
-  // incomplete: report it in the exit code without aborting the output.
-  return supervision.all_completed() ? 0 : 1;
+  return 0;
 }
 
 int main(int argc, char** argv) {

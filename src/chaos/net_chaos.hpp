@@ -67,7 +67,7 @@ const char* send_fate_name(SendFate fate);
 /// Per-connection fault stream. Seeded from (config.seed, connection id,
 /// attempt): reconnecting (attempt + 1) redraws the stream, so a client
 /// whose connection was chaos-killed does not deterministically die the
-/// same way forever — mirroring worker_plan()'s retry semantics.
+/// same way forever.
 class NetChaosEngine {
  public:
   struct Counters {

@@ -1,12 +1,7 @@
 #include "chaos/perturbation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <thread>
-
-#include "util/env.hpp"
-#include "util/supervisor.hpp"
 
 namespace spcd::chaos {
 
@@ -18,7 +13,6 @@ constexpr std::uint64_t kFaultStream = 0xFA01;
 constexpr std::uint64_t kTableStream = 0x7AB1;
 constexpr std::uint64_t kInjectorStream = 0x121F;
 constexpr std::uint64_t kMigrationStream = 0x316A;
-constexpr std::uint64_t kWorkerStream = 0x90B5;
 
 bool probability_ok(double p) { return p >= 0.0 && p <= 1.0; }
 
@@ -28,10 +22,6 @@ bool PerturbationConfig::enabled() const {
   return drop_fault > 0.0 || duplicate_fault > 0.0 || forced_collision > 0.0 ||
          wakeup_jitter > 0.0 || overrun > 0.0 || migration_fail > 0.0 ||
          migration_delay > 0.0;
-}
-
-bool PerturbationConfig::worker_enabled() const {
-  return worker_crash > 0.0 || worker_hang > 0.0;
 }
 
 std::string PerturbationConfig::validate() const {
@@ -59,13 +49,6 @@ std::string PerturbationConfig::validate() const {
     return "chaos: migration_delay_cycles must be > 0 when migration_delay "
            "is set";
   }
-  if (!probability_ok(worker_crash)) {
-    return "chaos: worker_crash not in [0, 1]";
-  }
-  if (!probability_ok(worker_hang)) return "chaos: worker_hang not in [0, 1]";
-  if (worker_hang > 0.0 && worker_hang_ms == 0) {
-    return "chaos: worker_hang_ms must be > 0 when worker_hang is set";
-  }
   return {};
 }
 
@@ -80,54 +63,6 @@ PerturbationConfig PerturbationConfig::at_intensity(double intensity) {
   c.migration_fail = std::min(1.0, 0.35 * x);
   c.migration_delay = std::min(1.0, 0.20 * x);
   return c;
-}
-
-PerturbationConfig worker_config_from_env(PerturbationConfig base) {
-  base.worker_crash = util::env_double_clamped("SPCD_CHAOS_WORKER_CRASH",
-                                               base.worker_crash, 0.0, 1.0);
-  base.worker_hang = util::env_double_clamped("SPCD_CHAOS_WORKER_HANG",
-                                              base.worker_hang, 0.0, 1.0);
-  base.worker_hang_ms = util::env_u64_clamped(
-      "SPCD_CHAOS_WORKER_HANG_MS", base.worker_hang_ms, 1, 3'600'000);
-  return base;
-}
-
-WorkerPlan worker_plan(const PerturbationConfig& config,
-                       std::uint64_t cell_seed, std::uint32_t attempt) {
-  WorkerPlan plan;
-  if (!config.worker_enabled()) return plan;
-  // One throwaway stream per (cell, attempt): the decision depends on
-  // nothing else, so it is identical for any SPCD_JOBS value and any
-  // completion order, and a retried attempt redraws.
-  util::Xoshiro256 rng(
-      util::derive_seed(util::derive_seed(cell_seed, kWorkerStream),
-                        attempt));
-  plan.crash = config.worker_crash > 0.0 && rng.chance(config.worker_crash);
-  plan.hang =
-      !plan.crash && config.worker_hang > 0.0 && rng.chance(config.worker_hang);
-  return plan;
-}
-
-void apply_worker_plan(const WorkerPlan& plan,
-                       const PerturbationConfig& config,
-                       const util::CancelToken& token) {
-  if (plan.hang) {
-    // Cooperative hang: spin-sleep until the watchdog cancels the attempt
-    // or the hang budget elapses (the backstop for watchdog-less runs).
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(config.worker_hang_ms);
-    while (!token.cancelled() &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    throw WorkerHang(token.cancelled()
-                         ? "chaos: injected worker hang (cancelled by "
-                           "watchdog)"
-                         : "chaos: injected worker hang (hang budget "
-                           "elapsed)");
-  }
-  if (plan.crash) throw WorkerCrash("chaos: injected worker crash");
 }
 
 PerturbationEngine::PerturbationEngine(const PerturbationConfig& config,

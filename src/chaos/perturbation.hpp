@@ -12,15 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "util/rng.hpp"
 #include "util/units.hpp"
-
-namespace spcd::util {
-class CancelToken;
-}
 
 namespace spcd::chaos {
 
@@ -57,28 +52,9 @@ struct PerturbationConfig {
   double migration_delay = 0.0;
   util::Cycles migration_delay_cycles = 200'000;
 
-  // --- worker hook family (harness-level, per experiment cell) ---
-  /// Probability that one cell *attempt* crashes outright before the
-  /// simulation starts (models a worker process dying mid-sweep). Decided
-  /// per (cell seed, attempt) — see worker_plan() — so a retried cell
-  /// redraws its fate and flaky cells eventually succeed.
-  double worker_crash = 0.0;
-  /// Probability that one cell attempt hangs instead of running (models a
-  /// wedged worker). A hung attempt sleeps until the supervisor's
-  /// watchdog cancels it, or until `worker_hang_ms` elapses as a backstop
-  /// when no watchdog is armed; either way the attempt fails and is
-  /// retried.
-  double worker_hang = 0.0;
-  std::uint64_t worker_hang_ms = 10'000;
-
-  /// True if any run-level perturbation can fire (the detector/injector/
-  /// migration hooks). Deliberately excludes the worker hooks: those act
-  /// on whole cells in the harness, never inside a run, so they must not
-  /// cause a PerturbationEngine to be created.
+  /// True if any perturbation can fire (the detector/injector/migration
+  /// hooks); a disabled config creates no PerturbationEngine at all.
   bool enabled() const;
-
-  /// True if the harness-level worker hooks can fire.
-  bool worker_enabled() const;
 
   /// Empty string if the configuration is sane, else a one-line error.
   std::string validate() const;
@@ -87,45 +63,6 @@ struct PerturbationConfig {
   /// reference "noisy OS" used by bench/ablation_robustness.
   static PerturbationConfig at_intensity(double intensity);
 };
-
-/// `base` with its worker hooks read from SPCD_CHAOS_WORKER_CRASH,
-/// _WORKER_HANG and _WORKER_HANG_MS (unset knobs keep base's values);
-/// every run-level probability stays as in `base`. The only environment
-/// route into chaos: the worker hooks perturb the harness, not the
-/// algorithm under test, and no CLI has a flag for them.
-PerturbationConfig worker_config_from_env(PerturbationConfig base = {});
-
-/// Thrown by apply_worker_plan() for an injected cell crash.
-struct WorkerCrash : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-/// Thrown by apply_worker_plan() when an injected hang ends (watchdog
-/// cancellation or hang budget).
-struct WorkerHang : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// The fate of one cell attempt under the worker hook family.
-struct WorkerPlan {
-  bool crash = false;
-  bool hang = false;
-};
-
-/// Decide a cell attempt's fate deterministically from (config, cell
-/// seed, attempt): bit-identical across runs and SPCD_JOBS values, and a
-/// retry (attempt + 1) redraws, so crash/hang probabilities below 1.0
-/// model flaky-but-recoverable workers.
-WorkerPlan worker_plan(const PerturbationConfig& config,
-                       std::uint64_t cell_seed, std::uint32_t attempt);
-
-/// Execute a plan at the top of a cell attempt: a hang sleeps
-/// cooperatively until `token` is cancelled (the watchdog path) or
-/// config.worker_hang_ms elapses, then throws WorkerHang; a crash throws
-/// WorkerCrash immediately. A no-op plan returns immediately — the cell
-/// then computes exactly what an unperturbed run would.
-void apply_worker_plan(const WorkerPlan& plan,
-                       const PerturbationConfig& config,
-                       const util::CancelToken& token);
 
 /// The draw engine behind the hook points. Each hook family owns a private
 /// RNG stream derived from the seed, so e.g. the number of faults seen can

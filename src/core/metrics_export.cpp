@@ -107,8 +107,7 @@ const std::vector<InterferenceDescriptor>& interference_metric_descriptors() {
 
 std::string metrics_json(const std::string& benchmark,
                          const std::string& policy,
-                         const std::vector<RunMetrics>& runs,
-                         const SupervisionCounters* supervision) {
+                         const std::vector<RunMetrics>& runs) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value("spcd-metrics-v1");
@@ -140,15 +139,6 @@ std::string metrics_json(const std::string& benchmark,
     w.end_object();
   }
   w.end_array();
-  if (supervision != nullptr) {
-    w.key("supervision").begin_object();
-    w.key("cells_retried").value(supervision->cells_retried);
-    w.key("cells_quarantined").value(supervision->cells_quarantined);
-    w.key("cells_resumed").value(supervision->cells_resumed);
-    w.key("journal_records").value(supervision->journal_records);
-    w.key("watchdog_fires").value(supervision->watchdog_fires);
-    w.end_object();
-  }
   w.end_object();
   return w.str();
 }

@@ -38,16 +38,6 @@ const std::vector<MetricDescriptor>& degradation_metric_descriptors();
 /// journal both format and parse rows through this table.
 const std::vector<MetricDescriptor>& cache_metric_descriptors();
 
-/// Supervision counters surfaced next to the run metrics (the experiment
-/// harness's own health: see util::Supervisor and the pipeline journal).
-struct SupervisionCounters {
-  std::uint64_t cells_retried = 0;
-  std::uint64_t cells_quarantined = 0;
-  std::uint64_t cells_resumed = 0;
-  std::uint64_t journal_records = 0;
-  std::uint64_t watchdog_fires = 0;
-};
-
 /// Inter-application interference counters of the multi-tenant service
 /// (spcdd's RunMetrics analogue): how much the tenants sharing one
 /// topology cost each other. Defined here, next to the run-metric
@@ -86,12 +76,9 @@ const std::vector<InterferenceDescriptor>& interference_metric_descriptors();
 /// Machine-readable JSON dump of one policy's repetitions: per-run metric
 /// objects via run_metric_descriptors(), plus — when the run carried an
 /// observability session — its metrics registry and trace accounting.
-/// When `supervision` is non-null a "supervision" object with the five
-/// harness counters is appended. Deterministic: byte-identical for any
-/// SPCD_JOBS value.
+/// Deterministic: byte-identical for any SPCD_JOBS value.
 std::string metrics_json(const std::string& benchmark,
                          const std::string& policy,
-                         const std::vector<RunMetrics>& runs,
-                         const SupervisionCounters* supervision = nullptr);
+                         const std::vector<RunMetrics>& runs);
 
 }  // namespace spcd::core

@@ -44,17 +44,8 @@ std::uint64_t Runner::cell_seed(const std::string& workload_name,
                            name_hash(workload_name) + repetition);
 }
 
-const sim::Placement& Runner::oracle_placement(
-    const std::string& workload_name, const WorkloadFactory& factory) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto [it, inserted] = oracle_cache_.try_emplace(workload_name);
-  if (!inserted) {
-    // Another thread is profiling (or has profiled) this workload.
-    oracle_ready_cv_.wait(lock, [&] { return it->second.ready; });
-    return it->second.placement;
-  }
-  lock.unlock();
-
+Runner::OracleEntry Runner::profile_oracle(
+    const std::string& workload_name, const WorkloadFactory& factory) const {
   SPCD_LOG_INFO("oracle: profiling %s", workload_name.c_str());
   // The profiling run is shared and computed by whichever cell asks first;
   // under SPCD_JOBS > 1 that cell is scheduling-dependent, so capturing its
@@ -85,13 +76,41 @@ const sim::Placement& Runner::oracle_placement(
           ->map(tracer.matrix(), machine.topology())
           .placement;
 
+  OracleEntry entry;
+  entry.matrix = tracer.matrix();
+  entry.placement = std::move(placement);
+  entry.ready = true;
+  return entry;
+}
+
+const sim::Placement& Runner::oracle_placement(
+    const std::string& workload_name, const WorkloadFactory& factory) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto [it, inserted] = oracle_cache_.try_emplace(workload_name);
+  OracleEntry& entry = it->second;
+  if (!inserted) {
+    // Another thread is profiling (or has profiled) this workload.
+    oracle_ready_cv_.wait(lock, [&] { return entry.ready || entry.error; });
+    if (entry.error) std::rethrow_exception(entry.error);
+    return entry.placement;
+  }
+  lock.unlock();
+
+  OracleEntry profiled;
+  try {
+    profiled = profile_oracle(workload_name, factory);
+  } catch (...) {
+    // The profile depends only on the workload and the config, so it would
+    // fail again: hand the failure to every requester instead of leaving
+    // them waiting for an entry that never becomes ready.
+    profiled.error = std::current_exception();
+  }
   lock.lock();
-  it->second.matrix = tracer.matrix();
-  it->second.placement = std::move(placement);
-  it->second.ready = true;
+  entry = std::move(profiled);
   lock.unlock();
   oracle_ready_cv_.notify_all();
-  return it->second.placement;
+  if (entry.error) std::rethrow_exception(entry.error);
+  return entry.placement;
 }
 
 const CommMatrix* Runner::oracle_matrix(
@@ -235,51 +254,35 @@ std::vector<RunMetrics> Runner::run_policy(const std::string& workload_name,
                                            const WorkloadFactory& factory,
                                            MappingPolicy policy) {
   std::vector<RunMetrics> out(config_.repetitions);
+  std::vector<util::JobErrors::Entry> failed(config_.repetitions);
   const unsigned jobs =
       config_.jobs != 0 ? config_.jobs : util::configured_jobs();
   util::ThreadPool pool(std::max(1u, std::min<unsigned>(
       jobs, config_.repetitions)));
   for (std::uint32_t rep = 0; rep < config_.repetitions; ++rep) {
-    pool.submit([this, &out, &workload_name, &factory, policy, rep] {
-      out[rep] = run_once(workload_name, factory, policy, rep);
+    // Each repetition catches its own failure, so a serial pool (whose
+    // submit() rethrows) still runs every repetition.
+    pool.submit([&, policy, rep] {
+      try {
+        out[rep] = run_once(workload_name, factory, policy, rep);
+      } catch (const std::exception& e) {
+        failed[rep] = {cell_name(workload_name, policy, rep), e.what(),
+                       std::current_exception()};
+      }
     });
   }
   pool.wait();
+  std::erase_if(failed, [](const util::JobErrors::Entry& e) {
+    return e.error == nullptr;
+  });
+  if (!failed.empty()) throw util::JobErrors(std::move(failed));
   return out;
 }
 
-std::vector<RunMetrics> Runner::run_policy_supervised(
-    const std::string& workload_name, const WorkloadFactory& factory,
-    MappingPolicy policy, const util::SupervisorConfig& supervision,
-    util::SupervisorReport* report) {
-  std::vector<RunMetrics> out(config_.repetitions);
-  const unsigned jobs =
-      config_.jobs != 0 ? config_.jobs : util::configured_jobs();
-  util::Supervisor supervisor(
-      std::max(1u, std::min<unsigned>(jobs, config_.repetitions)),
-      supervision, config_.base_seed);
-  for (std::uint32_t rep = 0; rep < config_.repetitions; ++rep) {
-    // Per-(cell, policy) stream for backoff jitter and worker chaos; the
-    // simulation itself still draws only from cell_seed() + salts.
-    const std::uint64_t seed = util::derive_seed(
-        cell_seed(workload_name, rep), static_cast<std::uint64_t>(policy));
-    supervisor.submit(
-        workload_name + "/" + std::string(to_string(policy)) + "/rep" +
-            std::to_string(rep),
-        seed,
-        [this, &out, &workload_name, &factory, policy, rep, seed](
-            const util::CancelToken& token, std::uint32_t attempt) {
-          // Worker-level fault injection wraps the repetition, never the
-          // simulation, so successful attempts stay bit-identical.
-          chaos::apply_worker_plan(
-              chaos::worker_plan(config_.chaos, seed, attempt),
-              config_.chaos, token);
-          out[rep] = run_once(workload_name, factory, policy, rep);
-        });
-  }
-  util::SupervisorReport result = supervisor.wait();
-  if (report != nullptr) *report = std::move(result);
-  return out;
+std::string Runner::cell_name(const std::string& workload_name,
+                              MappingPolicy policy, std::uint32_t repetition) {
+  return workload_name + "/" + to_string(policy) + "/rep" +
+         std::to_string(repetition);
 }
 
 }  // namespace spcd::core

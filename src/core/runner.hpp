@@ -8,6 +8,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,7 +28,6 @@
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
 #include "util/stats.hpp"
-#include "util/supervisor.hpp"
 
 namespace spcd::core {
 
@@ -139,6 +139,10 @@ class Runner {
   std::uint64_t cell_seed(const std::string& workload_name,
                           std::uint32_t repetition) const;
 
+  /// One cell's name in reports and journals: "<workload>/<policy>/rep<N>".
+  static std::string cell_name(const std::string& workload_name,
+                               MappingPolicy policy, std::uint32_t repetition);
+
   /// One execution of `factory`'s workload under `policy`.
   RunMetrics run_once(const std::string& workload_name,
                       const WorkloadFactory& factory, MappingPolicy policy,
@@ -146,25 +150,18 @@ class Runner {
 
   /// All repetitions under one policy. Repetitions are dispatched to a
   /// thread pool of `config().jobs` workers (1 = serial); results are
-  /// always in repetition order.
+  /// always in repetition order. A repetition that throws does not stop
+  /// the others: once every one has run, util::JobErrors names each
+  /// failed repetition (by cell_name(), in repetition order), at any job
+  /// count.
   std::vector<RunMetrics> run_policy(const std::string& workload_name,
                                      const WorkloadFactory& factory,
                                      MappingPolicy policy);
 
-  /// run_policy() with per-repetition supervision: each repetition runs
-  /// under a util::Supervisor (watchdog, retry with backoff, quarantine),
-  /// and the config's chaos worker hooks (SPCD_CHAOS_WORKER_*) apply
-  /// around — never inside — the repetition, so a successful attempt is
-  /// bit-identical to an unsupervised run. Quarantined repetitions keep a
-  /// default RunMetrics and are listed in `*report` (never null the sweep);
-  /// check report->all_completed().
-  std::vector<RunMetrics> run_policy_supervised(
-      const std::string& workload_name, const WorkloadFactory& factory,
-      MappingPolicy policy, const util::SupervisorConfig& supervision,
-      util::SupervisorReport* report = nullptr);
-
   /// The oracle's static placement for a workload, computed once from a
-  /// full-trace profiling run and cached by name.
+  /// full-trace profiling run and cached by name. A profiling run that
+  /// throws is cached too: this and every later request for the workload
+  /// rethrow its exception.
   const sim::Placement& oracle_placement(const std::string& workload_name,
                                          const WorkloadFactory& factory);
 
@@ -177,12 +174,17 @@ class Runner {
     sim::Placement placement;
     CommMatrix matrix{1};
     bool ready = false;  ///< profiling run finished, entry is immutable
+    std::exception_ptr error;  ///< set instead of ready if profiling threw
   };
 
+  /// The full-trace profiling run behind oracle_placement().
+  OracleEntry profile_oracle(const std::string& workload_name,
+                             const WorkloadFactory& factory) const;
+
   RunnerConfig config_;
-  // Guards oracle_cache_. Oracle entries are immutable once ready, and
-  // std::map nodes are stable, so references handed out after that stay
-  // valid without the lock.
+  // Guards oracle_cache_. Oracle entries are immutable once ready (or
+  // failed), and std::map nodes are stable, so references handed out after
+  // that stay valid without the lock.
   mutable std::mutex mu_;
   std::condition_variable oracle_ready_cv_;
   std::map<std::string, OracleEntry> oracle_cache_;

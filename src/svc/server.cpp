@@ -4,13 +4,12 @@
 #include <utility>
 
 #include "svc/protocol.hpp"
+#include "util/log.hpp"
 
 namespace spcd::svc {
 
 ServiceServer::ServiceServer(SpcdService& service, const ServerConfig& config)
-    : service_(service),
-      config_(config),
-      supervisor_(config.threads, config.supervisor) {}
+    : service_(service), config_(config), pool_(config.threads) {}
 
 std::uint64_t ServiceServer::now_ms() {
   return static_cast<std::uint64_t>(
@@ -22,28 +21,32 @@ std::uint64_t ServiceServer::now_ms() {
 void ServiceServer::serve(std::unique_ptr<Transport> transport) {
   const std::uint64_t n =
       sessions_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Shared ownership: the lambda is copyable (std::function), and the
-  // transport must survive retries of the job object.
+  // Shared ownership: a std::function must be copyable.
   std::shared_ptr<Transport> shared(std::move(transport));
-  supervisor_.submit(
-      "session-" + std::to_string(n), n,
-      [this, shared](const util::CancelToken& token, std::uint32_t) {
-        session_loop(*shared, token);
-      });
+  pool_.submit([this, shared, n] {
+    try {
+      session_loop(*shared);
+    } catch (const std::exception& e) {
+      SPCD_LOG_WARN("server: session-%llu failed: %s",
+                    static_cast<unsigned long long>(n), e.what());
+      shared->close();
+    }
+  });
 }
 
-void ServiceServer::accept_loop(Listener& listener) {
-  while (!supervisor_.stop_requested()) {
+void ServiceServer::accept_loop(Listener& listener,
+                                const std::function<bool()>& stop_poll) {
+  while (!stop_requested()) {
+    if (stop_poll && stop_poll()) {
+      request_stop();
+      break;
+    }
     std::unique_ptr<Transport> t = listener.accept(config_.recv_timeout_ms);
     if (t != nullptr) serve(std::move(t));
     service_.check_liveness(now_ms());
   }
   listener.close();
 }
-
-void ServiceServer::request_stop() { supervisor_.request_stop(); }
-
-util::SupervisorReport ServiceServer::drain() { return supervisor_.wait(); }
 
 ServerStats ServiceServer::stats() const {
   ServerStats s;
@@ -82,14 +85,13 @@ void ServiceServer::answer(Transport& transport, std::uint64_t client_seq,
   }
 }
 
-void ServiceServer::session_loop(Transport& transport,
-                                 const util::CancelToken& token) {
+void ServiceServer::session_loop(Transport& transport) {
   std::uint32_t tenant_id = 0;  // 0 until a hello/resume attached us
   std::uint32_t session_base_tid = 0;  // welcome echo for duplicated hellos
   std::string session_name;
   std::string payload;
   while (true) {
-    if (token.cancelled() || supervisor_.stop_requested()) {
+    if (stop_requested()) {
       transport.send(encode_shutdown());
       break;
     }

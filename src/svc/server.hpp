@@ -1,13 +1,9 @@
-// The daemon's session layer: one supervised job per tenant connection.
-// Each accepted transport runs a session loop on the util::Supervisor
-// pool, so tenant isolation rides the same machinery as the experiment
-// pipeline's cells — a hung session trips the watchdog's CancelToken, a
-// graceful shutdown (request_stop) drains every session within
-// ServerConfig::supervisor.drain_ms (spcdd sets it from SPCD_DRAIN_MS), and
-// the final SupervisorReport counts what happened.
-// Session errors are contained: a malformed frame or dead peer closes
-// that session; it never throws into the supervisor's retry path (a
-// closed socket is not retryable).
+// The daemon's session layer: one pool job per tenant connection. Each
+// accepted transport runs a session loop on a util::ThreadPool; a graceful
+// shutdown (request_stop, or the accept loop's stop predicate) ends every
+// session at its next recv poll, and drain() waits for them. Session
+// errors are contained: a malformed frame or dead peer closes that
+// session, and an exception is logged and closes it too.
 //
 // The server also runs the service's liveness sweep (accept_loop calls
 // check_liveness each poll) and enforces admission control: when more
@@ -22,24 +18,23 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "svc/service.hpp"
 #include "svc/transport.hpp"
-#include "util/supervisor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace spcd::svc {
 
 struct ServerConfig {
-  /// Supervisor pool size. Sessions are blocking-I/O jobs that live for
-  /// the whole connection, so the pool bounds *concurrent tenants*, not
-  /// CPU parallelism — the default admits well past the 100-tenant mark
+  /// Session pool size. Sessions are blocking-I/O jobs that live for the
+  /// whole connection, so the pool bounds *concurrent tenants*, not CPU
+  /// parallelism — the default admits well past the 100-tenant mark
   /// instead of inheriting the CPU-count default a compute pool wants.
   unsigned threads = 160;
-  /// Supervision knobs (watchdog, drain). Plain defaults: spcdd's main
-  /// reads SupervisorConfig::from_env() and passes it here.
-  util::SupervisorConfig supervisor;
-  /// Session recv poll period: the latency of noticing a stop request.
+  /// Session recv and accept poll period: the latency of noticing a stop
+  /// request.
   int recv_timeout_ms = 50;
   /// Backpressure: batches/re-registers in flight (commit lock or group
   /// fsync) beyond this get a kRetry reply instead of committing
@@ -61,22 +56,25 @@ class ServiceServer {
  public:
   ServiceServer(SpcdService& service, const ServerConfig& config);
 
-  /// Run an accepted connection as a supervised session job.
+  /// Run an accepted connection as a session job on the pool.
   void serve(std::unique_ptr<Transport> transport);
 
-  /// Accept connections until request_stop() (or listener close); runs on
-  /// the calling thread. Each accept poll also sweeps tenant liveness
-  /// (service.check_liveness), so suspect/reap deadlines are enforced
-  /// even when every session is idle.
-  void accept_loop(Listener& listener);
+  /// Accept connections until request_stop(), or until `stop_poll` (when
+  /// given) returns true, which then requests the stop; runs on the
+  /// calling thread and checks both on each poll. spcdd points
+  /// `stop_poll` at its signal flag. Each accept poll also sweeps tenant
+  /// liveness (service.check_liveness), so suspect/reap deadlines are
+  /// enforced even when every session is idle.
+  void accept_loop(Listener& listener,
+                   const std::function<bool()>& stop_poll = {});
 
-  /// Stop accepting and drain sessions: every session loop notices via
-  /// its CancelToken or the stop flag, sends kShutdown, and exits.
-  void request_stop();
-  bool stop_requested() const { return supervisor_.stop_requested(); }
+  /// Stop accepting and end sessions: every session loop notices the
+  /// stop flag at its next poll, sends kShutdown, and exits.
+  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
 
-  /// Block until every session drained; returns the supervision report.
-  util::SupervisorReport drain();
+  /// Block until every session has ended.
+  void drain() { pool_.wait(); }
 
   std::uint64_t sessions_started() const {
     return sessions_.load(std::memory_order_relaxed);
@@ -87,7 +85,7 @@ class ServiceServer {
   static std::uint64_t now_ms();
 
  private:
-  void session_loop(Transport& transport, const util::CancelToken& token);
+  void session_loop(Transport& transport);
   /// Admission control for a sequenced request: false when the commit
   /// queue is full; otherwise true, and the request counts as pending
   /// until the caller releases it.
@@ -98,13 +96,16 @@ class ServiceServer {
 
   SpcdService& service_;
   ServerConfig config_;
-  util::Supervisor supervisor_;
+  std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> sessions_{0};
   std::atomic<std::uint32_t> pending_commits_{0};
   std::atomic<std::uint64_t> heartbeats_{0};
   std::atomic<std::uint64_t> retries_sent_{0};
   std::atomic<std::uint64_t> duplicates_suppressed_{0};
   std::atomic<std::uint64_t> sessions_resumed_{0};
+  // Last: its session threads use every member above, so it joins them
+  // before any of those is destroyed.
+  util::ThreadPool pool_;
 };
 
 }  // namespace spcd::svc

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 namespace spcd::chaos {
@@ -171,19 +170,6 @@ TEST(PerturbationEngineTest, CountersTrackEveryInjection) {
   EXPECT_EQ(engine.counters().migrations_failed, 1u);
   EXPECT_EQ(engine.counters().migrations_delayed, 1u);
   EXPECT_EQ(engine.counters().total(), 4u);
-}
-
-TEST(PerturbationEnvTest, WorkerKnobsApplyOverTheBase) {
-  ::setenv("SPCD_CHAOS_WORKER_CRASH", "0.5", 1);
-  const PerturbationConfig worker = worker_config_from_env();
-  const PerturbationConfig both =
-      worker_config_from_env(PerturbationConfig::at_intensity(1.0));
-  ::unsetenv("SPCD_CHAOS_WORKER_CRASH");
-  EXPECT_DOUBLE_EQ(worker.worker_crash, 0.5);
-  EXPECT_FALSE(worker.enabled());  // no run-level probability from env
-  // spcdsim --chaos plus the env: both the profile and the worker hook.
-  EXPECT_DOUBLE_EQ(both.drop_fault, 0.15);
-  EXPECT_DOUBLE_EQ(both.worker_crash, 0.5);
 }
 
 }  // namespace

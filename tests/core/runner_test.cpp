@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/thread_pool.hpp"
 #include "workloads/npb.hpp"
 
 namespace spcd::core {
@@ -63,6 +64,37 @@ TEST(RunnerTest, OraclePlacementIsCachedAndValid) {
   EXPECT_GT(matrix->total(), 0u);
   const auto& p2 = runner.oracle_placement("sp", tiny_sp());
   EXPECT_EQ(&p1, &p2);  // same cached object
+}
+
+// refine_passes > 64 fails the oracle's mapping step after its profiling
+// run: the failure must reach every requester instead of leaving them
+// waiting for an entry that never becomes ready.
+TEST(RunnerTest, FailedOracleProfileReachesEveryRequester) {
+  RunnerConfig config = fast_config();
+  config.jobs = 2;
+  config.spcd.mapping.refine_passes = 65;
+  const WorkloadFactory cg = workloads::nas_factory("cg", 0.02);
+  {
+    // Two requests in turn on one thread: both throw.
+    Runner runner(config);
+    EXPECT_THROW(runner.oracle_placement("cg", cg), ConfigError);
+    EXPECT_THROW(runner.oracle_placement("cg", cg), ConfigError);
+    EXPECT_EQ(runner.oracle_matrix("cg"), nullptr);
+  }
+  // Two repetitions on two workers: both fail, each named once.
+  Runner runner(config);
+  try {
+    runner.run_policy("cg", cg, MappingPolicy::kOracle);
+    ADD_FAILURE() << "run_policy returned despite failed repetitions";
+  } catch (const util::JobErrors& e) {
+    ASSERT_EQ(e.errors().size(), 2u);
+    EXPECT_EQ(e.errors()[0].context, "cg/oracle/rep0");
+    EXPECT_EQ(e.errors()[1].context, "cg/oracle/rep1");
+    for (const util::JobErrors::Entry& failed : e.errors()) {
+      EXPECT_NE(failed.message.find("refine_passes"), std::string::npos)
+          << failed.message;
+    }
+  }
 }
 
 TEST(RunnerTest, SpcdRunRecordsMatrixAndOverheads) {

@@ -80,18 +80,6 @@ TEST(CliExitCodeTest, BadScaleExitsTwo) {
   }
 }
 
-TEST(CliExitCodeTest, ChaosFlagKeepsWorkerChaosFromEnv) {
-  // --chaos sets the run-level probabilities only: the injected crash of
-  // SPCD_CHAOS_WORKER_CRASH still quarantines the repetition.
-  std::string output;
-  EXPECT_EQ(exit_code_of("SPCD_CHAOS_WORKER_CRASH=1 SPCD_CELL_RETRIES=0 "
-                         SPCDSIM_BINARY,
-                         "--bench cg --reps 1 --scale 0.02 --chaos 0.5",
-                         &output),
-            1);
-  EXPECT_NE(output.find("quarantined"), std::string::npos) << output;
-}
-
 TEST(CliExitCodeTest, BadLogLevelWarns) {
   std::string output;
   EXPECT_EQ(exit_code_of("SPCD_LOG=bogus " SPCDSIM_BINARY, "--help", &output),

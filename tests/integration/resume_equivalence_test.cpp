@@ -1,18 +1,19 @@
-// The crash-recovery contract of the supervised pipeline: a sweep that
-// dies at ANY point — mid-grid kill, chaos-crashed cells, quarantine —
-// and is resumed from its journal must merge to a cache that is byte-
-// identical to an uninterrupted run, for any worker count.
+// The crash-recovery contract of the pipeline: a sweep that dies at ANY
+// point — mid-grid kill, failed cells — and is resumed from its journal
+// must merge to a cache that is byte-identical to an uninterrupted run,
+// for any worker count.
 #include "bench/pipeline.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "util/journal.hpp"
+#include "workloads/npb.hpp"
 
 namespace spcd {
 namespace {
@@ -131,38 +132,65 @@ TEST(ResumeEquivalenceTest, MismatchedJournalMetaIsDiscardedNotMerged) {
   std::remove(path.c_str());
 }
 
-TEST(ResumeEquivalenceTest, QuarantinedSweepResumesAfterChaosIsCleared) {
+TEST(ResumeEquivalenceTest, FailedCellsRunOnceAndResumeMergesIdentically) {
   const FullSweep& full = full_sweep();
-  const std::string path = temp_journal("chaos");
-  // Chaos-crash a good fraction of the worker attempts with no retry
-  // budget: some cells land in the journal, the rest quarantine. The
-  // sweep must finish the survivors instead of aborting.
-  ::setenv("SPCD_CHAOS_WORKER_CRASH", "0.6", 1);
-  ::setenv("SPCD_CELL_RETRIES", "0", 1);
-  ::setenv("SPCD_CELL_BACKOFF_MS", "1", 1);
-  const bench::PipelineOutcome crashed =
-      bench::run_pipeline_supervised(small_grid(path, false, 2));
-  ::unsetenv("SPCD_CHAOS_WORKER_CRASH");
-  ::unsetenv("SPCD_CELL_RETRIES");
-  ::unsetenv("SPCD_CELL_BACKOFF_MS");
-  ASSERT_FALSE(crashed.complete());
-  ASSERT_FALSE(crashed.supervision.quarantined.empty());
-  EXPECT_EQ(crashed.journal_records + crashed.supervision.quarantined.size(),
-            crashed.cells_total);
-  EXPECT_EQ(crashed.counters().cells_quarantined,
-            crashed.supervision.quarantined.size());
+  // refine_passes > 64 makes every cell that maps (oracle and spcd) throw
+  // ConfigError; os and random never map. journal_meta binds only the
+  // strategy name, so a resume under the default mapping adopts the
+  // journaled os and random cells.
+  std::vector<std::string> mapped;
+  for (const auto& info : workloads::nas_benchmarks()) {
+    for (const auto policy :
+         {core::MappingPolicy::kOracle, core::MappingPolicy::kSpcd}) {
+      for (std::uint32_t rep = 0; rep < kReps; ++rep) {
+        mapped.push_back(core::Runner::cell_name(info.name, policy, rep));
+      }
+    }
+  }
+  std::sort(mapped.begin(), mapped.end());
+  ASSERT_EQ(mapped.size(), 20u);
 
-  // Chaos cleared (the crashes are deterministic, so resuming under the
-  // same injection would only re-fail the same cells): the journaled
-  // cells replay, the quarantined ones recompute, and the merged cache
-  // is indistinguishable from a run where nothing ever went wrong.
-  const bench::PipelineOutcome recovered =
+  // At two jobs, then at one: the serial sweep's journal is resumed below.
+  const std::string path = temp_journal("failed");
+  for (const std::uint32_t jobs : {2u, 1u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    bench::PipelineOptions broken = small_grid(path, false, jobs);
+    broken.mapping.refine_passes = 65;
+    const bench::PipelineOutcome failed =
+        bench::run_pipeline_supervised(broken);
+    EXPECT_FALSE(failed.complete());
+    EXPECT_FALSE(failed.interrupted);
+    // One entry per failed cell: each ran once and was reported by name.
+    std::vector<std::string> names;
+    for (const util::JobErrors::Entry& cell : failed.failed) {
+      names.push_back(cell.context);
+      EXPECT_NE(cell.message.find("refine_passes"), std::string::npos)
+          << cell.context << ": " << cell.message;
+    }
+    EXPECT_EQ(names, mapped);
+
+    // The rest of the grid completed and is journaled.
+    EXPECT_EQ(failed.journal_records, failed.cells_total - mapped.size());
+    const util::Journal::LoadResult journal = util::Journal::load(path);
+    ASSERT_TRUE(journal.valid);
+    EXPECT_EQ(journal.records.size(), failed.cells_total - mapped.size());
+    for (const std::string& record : journal.records) {
+      std::string bench_name;
+      core::MappingPolicy policy;
+      std::uint32_t rep = 0;
+      core::RunMetrics m;
+      ASSERT_TRUE(bench::parse_metrics_row(record, bench_name, policy, rep, m));
+      EXPECT_TRUE(policy == core::MappingPolicy::kOs ||
+                  policy == core::MappingPolicy::kRandom)
+          << record;
+    }
+  }
+
+  const bench::PipelineOutcome resumed =
       bench::run_pipeline_supervised(small_grid(path, true, 2));
-  EXPECT_TRUE(recovered.complete());
-  EXPECT_EQ(recovered.cells_resumed,
-            static_cast<std::size_t>(crashed.journal_records));
-  EXPECT_EQ(recovered.counters().cells_resumed, recovered.cells_resumed);
-  EXPECT_EQ(bench::serialize_cache(recovered.results), full.cache_bytes);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.cells_resumed, resumed.cells_total - mapped.size());
+  EXPECT_EQ(bench::serialize_cache(resumed.results), full.cache_bytes);
   std::remove(path.c_str());
 }
 

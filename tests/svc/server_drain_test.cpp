@@ -1,10 +1,11 @@
 // ServiceServer shutdown contract under load: with many tenants
 // concurrently registered and mid-conversation, request_stop() drains
-// every session within the configured drain window, every tenant that was
-// journaled stays journaled (no record is lost to the shutdown race), and
-// the journal still replays cleanly.
+// every session well within kDrainBound, every tenant that was journaled
+// stays journaled (no record is lost to the shutdown race), and the
+// journal still replays cleanly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -25,19 +26,19 @@ namespace {
 
 std::string tmp_journal(const char* name) { return testing::TempDir() + name; }
 
+// Sessions notice a stop within one recv poll (10 ms here), so a drain of
+// 24 held sessions takes milliseconds; this bounds it with a wide margin
+// for sanitizer builds.
+constexpr std::chrono::milliseconds kDrainBound{2'000};
+
 // Config types are plain values: building one never reads the environment,
 // so tests and harnesses get the same defaults under any SPCD_* settings.
 // Only the binaries read the knobs (spcdsim, spcdd, the figure pipeline).
 TEST(HermeticConfigTest, DefaultsIgnoreTheEnvironment) {
   ::setenv("SPCD_TRACE", "1", 1);
-  ::setenv("SPCD_DRAIN_MS", "1", 1);
   const core::RunnerConfig runner_config;
-  const ServerConfig server_config;
   ::unsetenv("SPCD_TRACE");
-  ::unsetenv("SPCD_DRAIN_MS");
   EXPECT_FALSE(runner_config.trace.enabled);
-  EXPECT_EQ(server_config.supervisor.drain_ms,
-            util::SupervisorConfig{}.drain_ms);
 }
 
 TEST(SvcServerDrainTest, ManyTenantsCompleteAndDrainCleanly) {
@@ -65,9 +66,7 @@ TEST(SvcServerDrainTest, ManyTenantsCompleteAndDrainCleanly) {
   listener.close();
   server.request_stop();
   acceptor.join();
-  const util::SupervisorReport report = server.drain();
-  EXPECT_EQ(report.completed, 32u);
-  EXPECT_TRUE(report.quarantined.empty());
+  server.drain();
   EXPECT_EQ(server.sessions_started(), 32u);
   EXPECT_EQ(service.active_tenants(), 0u);  // every tenant said bye
 }
@@ -81,11 +80,17 @@ TEST(SvcServerDrainTest, StopMidSessionDrainsWithinWindowAndLosesNoRecord) {
 
   ServerConfig server_config;
   server_config.recv_timeout_ms = 10;
-  server_config.supervisor.drain_ms = 2'000;
   ServiceServer server(service, server_config);
 
+  // The stop arrives the way spcdd's signal flag does: through the accept
+  // loop's stop predicate, written on another thread.
   InProcListener listener;
-  std::thread acceptor([&] { server.accept_loop(listener); });
+  std::atomic<bool> signalled{false};
+  std::thread acceptor([&] {
+    server.accept_loop(listener, [&] {
+      return signalled.load(std::memory_order_relaxed);
+    });
+  });
 
   // 24 tenants register and send one batch each, then hold their
   // connections open (no bye) — the stop must tear them down.
@@ -116,17 +121,15 @@ TEST(SvcServerDrainTest, StopMidSessionDrainsWithinWindowAndLosesNoRecord) {
   EXPECT_EQ(service.active_tenants(), kTenants);
 
   // Stop with every session mid-conversation; the drain must finish well
-  // within the configured window (sessions poll every recv_timeout_ms).
+  // within kDrainBound (sessions poll every recv_timeout_ms).
   const auto t0 = std::chrono::steady_clock::now();
-  listener.close();
-  server.request_stop();
+  signalled.store(true, std::memory_order_relaxed);
   acceptor.join();
-  const util::SupervisorReport report = server.drain();
+  server.drain();
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(elapsed,
-            std::chrono::milliseconds(server_config.supervisor.drain_ms));
-  EXPECT_TRUE(report.stopped);
-  EXPECT_EQ(report.completed + report.skipped, kTenants);
+  EXPECT_LT(elapsed, kDrainBound);
+  EXPECT_TRUE(server.stop_requested());
+  EXPECT_EQ(server.sessions_started(), kTenants);
 
   // Each held client observes the shutdown: a kShutdown frame or a close.
   for (auto& client : clients) {
