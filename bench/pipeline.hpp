@@ -14,7 +14,7 @@
 // It is reported by name and the rest of the grid still completes.
 //
 // Crash safety: when a journal path is configured, every completed cell is
-// appended to a CRC-framed journal (util::Journal) and fsync'd as it
+// appended to a CRC-framed journal (util::Journal) and flushed as it
 // finishes. A crashed, killed, or interrupted sweep resumes by replaying
 // the journal's intact prefix and recomputing only the missing cells; the
 // merged cache is byte-identical to an uninterrupted run. SIGINT/SIGTERM

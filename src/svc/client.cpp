@@ -101,7 +101,9 @@ TenantClient::Await TenantClient::await_reply(MessageType expect,
       wait_ms = static_cast<int>(left.count());
     }
     const Transport::RecvStatus status = transport_->recv(&payload, wait_ms);
-    if (status == Transport::RecvStatus::kTimeout) return Await::kBroken;
+    // A timeout may be a signal that cut the wait short: the deadline
+    // check above decides.
+    if (status == Transport::RecvStatus::kTimeout) continue;
     if (status != Transport::RecvStatus::kFrame) return Await::kBroken;
     const std::optional<Message> msg = parse_message(payload);
     if (!msg.has_value()) return Await::kBroken;  // desync: reconnect

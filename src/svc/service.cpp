@@ -84,9 +84,9 @@ bool SpcdService::await_durable(std::uint64_t seq) {
     failed_ = true;
     return false;
   }
-  // One fsync makes every record written before it durable: this
+  // One fdatasync makes every record written before it durable: this
   // caller's, and those of every commit that arrived during the last one.
-  const bool synced = ::fsync(fd) == 0;
+  const bool synced = ::fdatasync(fd) == 0;
   ::close(fd);
   syncs_.fetch_add(1, std::memory_order_relaxed);
   if (!synced) {

@@ -2,16 +2,16 @@
 // session. All state mutation — tenant registration, fault-batch
 // ingest, re-registers, lifecycle transitions, exits, arbitration,
 // journal rotation — commits serially under one mutex: each commit
-// writes its journal record (flushed, not yet fsynced) and applies its
-// state change under that lock, so journal order IS commit order, which
-// is what makes `spcdd --replay` byte-identical. Durability is a group
-// commit after the lock is released (DESIGN.md §14): a commit method
-// returns success only once an fsync covers its record, so a batch ack
-// promises the batch survives SIGKILL and power loss, while commits from
-// concurrent sessions share one fsync. A failed journal write or fsync
-// is fail-stop: every commit not yet durable reports an error and every
-// later commit is refused. Readers (metrics_json, stats) see committed
-// state, which may run ahead of the durable point.
+// writes its journal record (in the page cache, not yet flushed) and
+// applies its state change under that lock, so journal order IS commit
+// order, which is what makes `spcdd --replay` byte-identical. Durability
+// is a group commit after the lock is released (DESIGN.md §14): a commit
+// method returns success only once an fdatasync covers its record, so a
+// batch ack promises the batch survives SIGKILL and power loss, while
+// commits from concurrent sessions share one flush. A failed journal
+// write or flush is fail-stop: every commit not yet durable reports an
+// error and every later commit is refused. Readers (metrics_json, stats)
+// see committed state, which may run ahead of the durable point.
 //
 // Liveness (DESIGN.md §16): wall-clock observations (last frame seen per
 // tenant) are tracked but never journaled; only the *transitions* they
@@ -244,15 +244,15 @@ class SpcdService {
                            std::uint64_t now_ms, bool admit, Commit commit);
   void sweep_liveness_locked(std::uint64_t now_ms, LivenessReport* report);
   /// Take the next commit seq and write the record to the journal
-  /// (flushed, no fsync). False once the journal failed.
+  /// (not yet flushed). False once the journal failed.
   bool journal_append_locked(const std::string& record);
   /// Write without bumping commit_seq_ (snapshot records are state
   /// descriptions, not commits).
   void journal_raw_append_locked(const std::string& record);
   /// Block, without commit_mu_, until commit `seq` is durable; false if
   /// the journal failed first. One caller at a time (sync_mu_) is the
-  /// fsync leader: it reads commit_seq_ and dups the journal descriptor
-  /// under commit_mu_, then fsyncs outside it, making every record
+  /// flush leader: it reads commit_seq_ and dups the journal descriptor
+  /// under commit_mu_, then fdatasyncs outside it, making every record
   /// written so far durable at once.
   bool await_durable(std::uint64_t seq);
   bool force_active_locked(std::uint32_t tenant_id);

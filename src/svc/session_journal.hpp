@@ -2,7 +2,7 @@
 // multi-tenant session replayable. Every state transition the service
 // commits — a tenant registering, a fault batch, a re-register, a
 // lifecycle transition, an exit, a journal rotation — is one journal
-// record, appended (and fsynced, via util::Journal) *before* the daemon
+// record, appended (and flushed, via util::Journal) *before* the daemon
 // acknowledges it to the tenant; arbiter decisions are journaled as
 // digest records so a replay can byte-compare its recomputed decisions
 // against the original session's.

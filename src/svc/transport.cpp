@@ -100,18 +100,18 @@ class InProcTransport final : public Transport {
 
 // --- stream-fd transport (Unix-domain and TCP) -----------------------------
 
-/// Wait for readability; false on timeout. Negative timeout = forever.
+/// Wait for readability; false on timeout, and on a signal, so a caller
+/// that polls a stop flag (the accept loop on SIGTERM) reads it at once
+/// rather than after a full timeout. Negative timeout = forever.
 bool wait_readable(int fd, int timeout_ms) {
   struct pollfd pfd;
   pfd.fd = fd;
   pfd.events = POLLIN;
   pfd.revents = 0;
-  for (;;) {
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n > 0) return true;
-    if (n == 0) return false;
-    if (errno != EINTR) return true;  // let the read surface the error
-  }
+  const int n = ::poll(&pfd, 1, timeout_ms);
+  if (n > 0) return true;
+  if (n == 0 || errno == EINTR) return false;
+  return true;  // let the read surface the error
 }
 
 /// Wait for writability; false on error (a blocked send must eventually

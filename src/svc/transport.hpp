@@ -29,7 +29,8 @@ class Transport {
  public:
   enum class RecvStatus : std::uint8_t {
     kFrame,    ///< *payload holds one complete frame
-    kTimeout,  ///< no frame within the deadline; try again
+    kTimeout,  ///< no frame within the deadline (or a signal arrived
+               ///< first); try again
     kClosed,   ///< peer closed cleanly (EOF between frames)
     kError,    ///< I/O error or protocol violation (oversized frame)
   };
@@ -68,7 +69,8 @@ class Listener {
   virtual ~Listener() = default;
 
   /// Accept one connection, waiting at most `timeout_ms` (negative =
-  /// forever). Null on timeout or once the listener is closed.
+  /// forever). Null on timeout, on a signal, or once the listener is
+  /// closed.
   virtual std::unique_ptr<Transport> accept(int timeout_ms) = 0;
 
   /// Stop accepting; a blocked accept() returns null. Idempotent.

@@ -3,7 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -15,6 +18,9 @@ namespace {
 
 constexpr const char kHeaderPrefix[] = "spcd-journal v1 ";
 constexpr const char kFramePrefix[] = "#rec ";
+// Bounds of one zero-tail extension (see the format notes).
+constexpr std::uint64_t kMinTailStep = std::uint64_t{64} << 10;
+constexpr std::uint64_t kMaxTailStep = std::uint64_t{4} << 20;
 
 std::string frame(const std::string& record) {
   char head[64];
@@ -28,11 +34,20 @@ std::string frame(const std::string& record) {
   return out;
 }
 
-// fflush + fsync: the records must be on disk, not in a stdio or kernel
-// buffer, before sync() reports success.
-bool flush_to_disk(std::FILE* file) {
-  if (std::fflush(file) != 0) return false;
-  return ::fsync(::fileno(file)) == 0;
+// pwrite all `size` bytes at `offset`, across short writes. False on an
+// error, such as ENOSPC or EFBIG past RLIMIT_FSIZE.
+bool pwrite_all(int fd, const char* data, std::uint64_t size,
+                std::uint64_t offset) {
+  while (size > 0) {
+    const ssize_t n =
+        ::pwrite(fd, data, size, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::uint64_t>(n);
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
 }
 
 }  // namespace
@@ -103,23 +118,27 @@ Journal::LoadResult Journal::load(const std::string& path) {
     out.records.push_back(std::move(record));
     pos = payload_start + len + 1;
   }
-  out.torn_tail = pos < contents.size();
+  // A journal that was not closed ends in its zero tail.
+  out.torn_tail = contents.find_first_not_of('\0', pos) != std::string::npos;
   return out;
 }
 
 Journal Journal::create(const std::string& path, const std::string& meta) {
   Journal j;
   j.path_ = path;
-  j.file_ = std::fopen(path.c_str(), "wb");
-  if (j.file_ == nullptr) {
+  j.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                 0666);
+  if (j.fd_ < 0) {
     SPCD_LOG_WARN("journal: cannot open %s for writing", path.c_str());
     j.failed_ = true;
     return j;
   }
   const std::string header = kHeaderPrefix + meta + "\n";
-  if (std::fwrite(header.data(), 1, header.size(), j.file_) !=
-          header.size() ||
-      !flush_to_disk(j.file_)) {
+  j.end_ = j.zeroed_ = header.size();
+  // The first zero tail goes to disk with the header, so the first
+  // record is already an overwrite.
+  if (!pwrite_all(j.fd_, header.data(), header.size(), 0) ||
+      !j.grow_tail(0) || ::fdatasync(j.fd_) != 0) {
     SPCD_LOG_WARN("journal: cannot write header to %s", path.c_str());
     j.failed_ = true;
   } else if (!sync_parent_dir(path)) {
@@ -133,55 +152,52 @@ Journal Journal::rotate(const std::string& path, const std::string& meta,
                         const std::vector<std::string>& records) {
   const std::string tmp_path = path + ".tmp";
   Journal j = create(tmp_path, meta);
-  for (const std::string& record : records) j.append(record);
-  if (!j.ok()) {
+  for (const std::string& record : records) j.write(record);
+  if (!j.sync()) {
     j.close();
     std::remove(tmp_path.c_str());
     j.failed_ = true;
     return j;
   }
-  j.close();
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
     SPCD_LOG_WARN("journal: cannot rename %s over %s", tmp_path.c_str(),
                   path.c_str());
+    j.close();
     std::remove(tmp_path.c_str());
     j.failed_ = true;
     return j;
   }
+  // The descriptor follows the file to its new name and stays open for
+  // appending.
+  j.path_ = path;
   if (!sync_parent_dir(path)) {
     SPCD_LOG_WARN("journal: cannot fsync the directory of %s", path.c_str());
     j.failed_ = true;
-    return j;
   }
-  // Reopen the published file for appending.
-  Journal out;
-  out.path_ = path;
-  out.records_written_ = records.size();
-  out.file_ = std::fopen(path.c_str(), "ab");
-  if (out.file_ == nullptr) {
-    SPCD_LOG_WARN("journal: cannot reopen %s for appending", path.c_str());
-    out.failed_ = true;
-  }
-  return out;
+  return j;
 }
 
 Journal::~Journal() { close(); }
 
 Journal::Journal(Journal&& other) noexcept
-    : file_(std::exchange(other.file_, nullptr)),
+    : fd_(std::exchange(other.fd_, -1)),
       path_(std::move(other.path_)),
       failed_(other.failed_),
       records_written_(other.records_written_),
-      bytes_written_(other.bytes_written_) {}
+      bytes_written_(other.bytes_written_),
+      end_(other.end_),
+      zeroed_(other.zeroed_) {}
 
 Journal& Journal::operator=(Journal&& other) noexcept {
   if (this != &other) {
     close();
-    file_ = std::exchange(other.file_, nullptr);
+    fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
     failed_ = other.failed_;
     records_written_ = other.records_written_;
     bytes_written_ = other.bytes_written_;
+    end_ = other.end_;
+    zeroed_ = other.zeroed_;
   }
   return *this;
 }
@@ -193,36 +209,51 @@ bool Journal::append(const std::string& record) {
 bool Journal::write(const std::string& record) {
   if (!ok()) return false;
   const std::string framed = frame(record);
-  if (std::fwrite(framed.data(), 1, framed.size(), file_) !=
-          framed.size() ||
-      std::fflush(file_) != 0) {
+  if ((end_ + framed.size() > zeroed_ && !grow_tail(framed.size())) ||
+      !pwrite_all(fd_, framed.data(), framed.size(), end_)) {
     SPCD_LOG_WARN("journal: short write to %s; further records will be "
                   "dropped", path_.c_str());
     failed_ = true;
     return false;
   }
+  end_ += framed.size();
   ++records_written_;
   bytes_written_ += framed.size();
   return true;
 }
 
+bool Journal::grow_tail(std::uint64_t size) {
+  static const std::string zeros(kMinTailStep, '\0');
+  const std::uint64_t step = std::clamp(zeroed_, kMinTailStep, kMaxTailStep);
+  const std::uint64_t to = std::max(end_ + size, zeroed_ + step);
+  while (zeroed_ < to) {
+    const std::uint64_t n = std::min<std::uint64_t>(to - zeroed_, zeros.size());
+    if (!pwrite_all(fd_, zeros.data(), n, zeroed_)) return false;
+    zeroed_ += n;
+  }
+  return true;
+}
+
 bool Journal::sync() {
   if (!ok()) return false;
-  if (!flush_to_disk(file_)) {
-    SPCD_LOG_WARN("journal: fsync of %s failed; further records will be "
-                  "dropped", path_.c_str());
+  if (::fdatasync(fd_) != 0) {
+    SPCD_LOG_WARN("journal: fdatasync of %s failed; further records will "
+                  "be dropped", path_.c_str());
     failed_ = true;
   }
   return ok();
 }
 
-int Journal::dup_fd() const { return ok() ? ::dup(::fileno(file_)) : -1; }
+int Journal::dup_fd() const { return ok() ? ::dup(fd_) : -1; }
 
 void Journal::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+  if (fd_ < 0) return;
+  if (zeroed_ > end_ && ::ftruncate(fd_, static_cast<off_t>(end_)) != 0) {
+    SPCD_LOG_WARN("journal: cannot truncate the zero tail of %s",
+                  path_.c_str());
   }
+  ::close(fd_);
+  fd_ = -1;
 }
 
 }  // namespace spcd::util

@@ -1,8 +1,9 @@
 // Append-only, CRC-framed record journal — the crash-safety substrate of
-// the experiment pipeline. Each completed experiment cell appends one
-// record and the journal fsyncs it, so a crash (or SIGKILL) at any point
-// loses at most the cells that were still in flight; on the next run the
-// intact prefix is replayed and only the missing cells are recomputed.
+// the experiment pipeline and of spcdd. Each completed experiment cell
+// appends one record and the journal flushes it, so a crash (or SIGKILL)
+// at any point loses at most the cells that were still in flight; on the
+// next run the intact prefix is replayed and only the missing cells are
+// recomputed.
 //
 // On-disk format (text-framed, binary-safe payloads):
 //
@@ -11,18 +12,28 @@
 //   #rec <len> <crc64hex>\n           one frame line per record
 //   <len payload bytes>\n             the record itself
 //   ...
+//   NUL bytes                         the zero tail, while the file is open
+//
+// An open journal keeps a tail of written zeros past its last record, and
+// records overwrite it: a flush of a record then moves data only, not the
+// file's size or block map, so fdatasync is one data write. A record that
+// would cross the tail first extends it with more real zeros, by the
+// file's size from 64 KiB up to 4 MiB a step. close() truncates the tail
+// away, so a closed journal is exactly its header and frames; a crashed
+// one ends in zeros.
 //
 // The loader never trusts the tail: it walks records front to back and
 // stops at the first frame that is malformed, torn (short payload), or
 // fails its checksum — every intact prefix record is recovered, and no
-// input (truncation, bit flips, garbage) can make it throw. Writers only
-// ever append; compaction/replacement goes through rotate(), which writes
-// the replacement to "<path>.tmp" and atomically renames it into place, so
+// input (truncation, bit flips, garbage) can make it throw. Only NUL
+// bytes after the last intact record are a clean end; anything else is a
+// torn tail. Writers only ever add records after the last one;
+// compaction/replacement goes through rotate(), which writes the
+// replacement to "<path>.tmp" and atomically renames it into place, so
 // readers see either the old journal or the complete new one.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -46,8 +57,9 @@ class Journal {
     bool valid = false;      ///< file exists and the header parsed
     std::string meta;        ///< the header's <meta> payload
     std::vector<std::string> records;  ///< every intact prefix record
-    bool torn_tail = false;  ///< trailing bytes after the last intact
-                             ///< record were discarded (torn/corrupt)
+    bool torn_tail = false;  ///< bytes other than NUL after the last
+                             ///< intact record were discarded (torn or
+                             ///< corrupt)
   };
 
   /// Read `path` tolerantly (see the format notes above). A missing file
@@ -56,14 +68,16 @@ class Journal {
   static LoadResult load(const std::string& path);
 
   /// Create (or truncate) a fresh journal with the given meta line and
-  /// open it for appending; the header and the directory entry are on
-  /// disk before it returns. `meta` must not contain newlines.
+  /// open it for appending; the header, the first zero tail and the
+  /// directory entry are on disk before it returns, so the first record is
+  /// already an overwrite. `meta` must not contain newlines.
   static Journal create(const std::string& path, const std::string& meta);
 
   /// Atomic-rename rotation: write a fresh journal holding `records` to
-  /// "<path>.tmp", fsync it, rename it over `path`, fsync the directory,
-  /// and return it open for appending. Used to compact a resumed journal
-  /// down to its intact prefix before new records are appended after it.
+  /// "<path>.tmp", flush it once, rename it over `path`, fsync the
+  /// directory, and return it open for appending. Used to compact a
+  /// resumed journal down to its intact prefix before new records are
+  /// appended after it.
   static Journal rotate(const std::string& path, const std::string& meta,
                         const std::vector<std::string>& records);
 
@@ -76,42 +90,51 @@ class Journal {
 
   /// False after any I/O error (the journal then drops further appends
   /// with a logged warning instead of crashing the sweep).
-  bool ok() const { return file_ != nullptr && !failed_; }
-  bool is_open() const { return file_ != nullptr; }
+  bool ok() const { return fd_ >= 0 && !failed_; }
+  bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
   std::uint64_t records_written() const { return records_written_; }
-  /// Bytes appended through this handle (frames + payloads, excluding the
-  /// header and any pre-existing file contents). Drives size-triggered
-  /// rotation without a stat() per append.
+  /// Bytes of the records written through this handle (frames +
+  /// payloads, excluding the header and the zero tail). Drives
+  /// size-triggered rotation without a stat() per append.
   std::uint64_t bytes_written() const { return bytes_written_; }
 
   /// write() then sync(): one framed record, on disk before returning, so
   /// a record that append() accepted survives SIGKILL. Returns ok().
   bool append(const std::string& record);
 
-  /// Append one framed record and flush it to the kernel, without fsync:
-  /// it survives a crash of this process but not of the machine until a
-  /// later sync() (or an fsync of dup_fd()). Returns ok().
+  /// Write one framed record after the last one, into the kernel's page
+  /// cache, without a flush: it survives a crash of this process but not
+  /// of the machine until a later sync() (or an fdatasync of dup_fd()).
+  /// Returns ok(); a failed write, or a failed extension of the zero
+  /// tail, fails the journal.
   bool write(const std::string& record);
 
-  /// Flush and fsync everything written so far. Returns ok(); a failed
-  /// fsync fails the journal.
+  /// fdatasync everything written so far. Returns ok(); a failed flush
+  /// fails the journal.
   bool sync();
 
   /// A duplicate of the file descriptor (-1 on a failed journal), which
-  /// the caller fsyncs and closes. It stays valid when this journal is
-  /// closed or moved meanwhile, so a group commit can fsync outside the
-  /// lock that guards the journal.
+  /// the caller fdatasyncs and closes. It stays valid when this journal
+  /// is closed or moved meanwhile, so a group commit can flush outside
+  /// the lock that guards the journal.
   int dup_fd() const;
 
+  /// Truncate the zero tail away and close the file. Idempotent.
   void close();
 
  private:
-  std::FILE* file_ = nullptr;
+  /// Write zeros past the tail until it holds `size` more bytes after the
+  /// last record. False on a failed write.
+  bool grow_tail(std::uint64_t size);
+
+  int fd_ = -1;
   std::string path_;
   bool failed_ = false;
   std::uint64_t records_written_ = 0;
   std::uint64_t bytes_written_ = 0;
+  std::uint64_t end_ = 0;     ///< offset just past the last record
+  std::uint64_t zeroed_ = 0;  ///< file size; [end_, zeroed_) is zeros
 };
 
 }  // namespace spcd::util

@@ -6,11 +6,15 @@
 // bytes, into an FNV-1a digest that must equal the constant recorded from
 // the oracle- and test-verified build that introduced it. A change that
 // moves any partner, placement, counter or finish time flips a digest, in
-// every build type.
+// every build type. A seventh case pins the bytes of the service's closed
+// journal files.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -328,6 +332,61 @@ TEST(PinnedKernelsTest, ServiceIngest) {
     if (!decisions.empty()) sum.fold(decisions.back().digest);
   }
   EXPECT_EQ(sum.digest(), 0x7b260de620d6e02dULL);
+}
+
+// The service's closed journal, byte for byte: one tenant of 4 threads
+// ingests 96 scripted batches of 64 events into a journaled service, once
+// into one file and once rotating every 40 records, and the service is
+// destroyed. Each file of the chain (g0, g1, ..., then the live file) is
+// hashed whole, so a codec, the commit order, the framing, or anything a
+// closed journal leaves past its last record flips a digest.
+TEST(PinnedKernelsTest, ServiceJournal) {
+  const std::string path = testing::TempDir() + "pinned_service.journal";
+  const auto chain = [&path] {
+    std::vector<std::string> files;
+    for (std::uint32_t g = 0;; ++g) {
+      const std::string gen = path + ".g" + std::to_string(g);
+      if (!std::ifstream(gen).good()) break;
+      files.push_back(gen);
+    }
+    files.push_back(path);
+    return files;
+  };
+  const auto remove_chain = [&chain] {
+    for (const std::string& file : chain()) std::remove(file.c_str());
+  };
+  for (const auto& [max_records, expected] :
+       {std::pair{std::uint64_t{0},
+                  std::vector<std::uint64_t>{0x2d3c325280695ca1ULL}},
+        std::pair{std::uint64_t{40},
+                  std::vector<std::uint64_t>{0x43bfa1df9b2c4296ULL,
+                                             0xfaba1d701b3e455eULL,
+                                             0x71d5ec2ac21fc1ddULL}}}) {
+    remove_chain();
+    {
+      svc::ServiceConfig config;
+      config.arbitration_interval = 1024;
+      config.journal_path = path;
+      config.journal_max_records = max_records;
+      svc::SpcdService service(config);
+      svc::DriverConfig driver;
+      driver.tenants = 1;
+      driver.events_per_batch = 64;
+      const std::uint32_t id = service.register_tenant("pinned", 4).tenant_id;
+      for (std::uint32_t b = 0; b < 96; ++b) {
+        ASSERT_TRUE(service.ingest(id, svc::scripted_batch(driver, 0, b)).ok);
+      }
+    }
+    std::vector<std::uint64_t> digests;
+    for (const std::string& file : chain()) {
+      std::ifstream in(file, std::ios::binary);
+      const std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      digests.push_back(util::fnv1a64(bytes));
+    }
+    EXPECT_EQ(digests, expected) << "journal_max_records " << max_records;
+  }
+  remove_chain();
 }
 
 // The mapper at production scale, on the clustered workload fig17 sweeps:

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/pipeline.hpp"
+#include "util/journal.hpp"
 
 namespace spcd {
 namespace {
@@ -32,10 +33,9 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-std::size_t file_size(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<std::size_t>(st.st_size)
-                                        : 0;
+/// Intact records in the journal at `path` (0 before it exists).
+std::size_t journaled_records(const std::string& path) {
+  return util::Journal::load(path).records.size();
 }
 
 /// Launch `spcd_pipeline --reps 1 --scale 0.02 --jobs 1 --cache <cache>`
@@ -72,16 +72,17 @@ TEST(SignalShutdownTest, SigtermMidSweepThenResumeIsByteIdentical) {
   std::remove(journal.c_str());
 
   // Phase 1: start the sweep and SIGTERM it once the journal shows real
-  // progress (at least one completed cell, fsync'd).
+  // progress (at least one completed cell, flushed).
   const pid_t pid = spawn_pipeline(cache, false);
   ASSERT_GT(pid, 0);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (file_size(journal) < 100 &&
+  while (journaled_records(journal) < 1 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_GE(file_size(journal), 100u) << "pipeline never journaled a cell";
+  ASSERT_GE(journaled_records(journal), 1u)
+      << "pipeline never journaled a cell";
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   EXPECT_EQ(wait_for_exit(pid), 130);
 

@@ -364,7 +364,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperty,
 // ---------------------------------------------------------------------------
 // Journal properties over random record sets and random corruption: the
 // loader must never crash, must recover exactly an intact prefix of what
-// was written, and rotation must be byte-stable.
+// was written, with or without a zero tail after the damage, and rotation
+// must be byte-stable.
 // ---------------------------------------------------------------------------
 
 class JournalProperty : public ::testing::TestWithParam<std::uint64_t> {
@@ -415,6 +416,19 @@ class JournalProperty : public ::testing::TestWithParam<std::uint64_t> {
     if (got.size() > want.size()) return false;
     return std::equal(got.begin(), got.end(), want.begin());
   }
+  /// Load `contents` as written, then again with a zero tail appended (as
+  /// a crash of an open journal leaves it): both loads must recover the
+  /// same records and agree on the torn tail.
+  util::Journal::LoadResult load_both(const std::string& path,
+                                      const std::string& contents) {
+    write_file(path, contents);
+    util::Journal::LoadResult r = util::Journal::load(path);
+    write_file(path, contents + std::string(4096, '\0'));
+    const util::Journal::LoadResult padded = util::Journal::load(path);
+    EXPECT_EQ(padded.records, r.records);
+    EXPECT_EQ(padded.torn_tail, r.torn_tail);
+    return r;
+  }
   std::vector<std::string> cleanup_;
 };
 
@@ -437,8 +451,7 @@ TEST_P(JournalProperty, RandomTruncationRecoversAnIntactPrefix) {
   // always an intact prefix.
   for (int i = 0; i < 64; ++i) {
     const std::size_t keep = rng.below(full.size());
-    write_file(path, full.substr(0, keep));
-    const auto r = util::Journal::load(path);
+    const auto r = load_both(path, full.substr(0, keep));
     EXPECT_TRUE(is_prefix(r.records, records)) << "cut at " << keep;
   }
 }
@@ -461,8 +474,7 @@ TEST_P(JournalProperty, RandomBitFlipsRecoverAnIntactPrefix) {
       mutated[at] = static_cast<char>(
           mutated[at] ^ static_cast<char>(1u << rng.below(8)));
     }
-    write_file(path, mutated);
-    const auto r = util::Journal::load(path);  // must never throw
+    const auto r = load_both(path, mutated);  // must never throw
     // A flip in the header invalidates the whole journal; any other flip
     // truncates recovery to the records before the damage. Either way,
     // every recovered record is one we wrote, in order.

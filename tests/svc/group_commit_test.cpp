@@ -1,9 +1,9 @@
 // Group commit: many sessions ingesting at once share fsyncs, every
 // returned commit seq is already durable, journal order stays commit
 // order (a concurrent session replays byte for byte, with and without
-// rotation), and a failed journal write is fail-stop — nothing that was
-// not written is acked, and nothing is acked after it. In the TSan CI
-// job's target list.
+// rotation), a copy of the open journal replays every ack, and a failed
+// journal write is fail-stop — nothing that was not written is acked, and
+// nothing is acked after it. In the TSan CI job's target list.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -11,6 +11,8 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,6 +137,40 @@ TEST(SvcGroupCommitTest, RotationUnderConcurrentIngestReplays) {
   remove_chain(path);
 }
 
+TEST(SvcGroupCommitTest, CopyOfTheLiveJournalReplaysEveryAck) {
+  const std::string path = tmp_journal("svc_group_commit_live.journal");
+  const std::string copy = path + ".copy";
+  remove_chain(path);
+  const DriverConfig driver = driver_config();
+  std::uint64_t acked_events = 0;
+  std::string live;
+  {
+    SpcdService service(journaled_config(path));
+    const RegisterResult reg = service.register_tenant("live", 4);
+    ASSERT_TRUE(reg.ok) << reg.error;
+    for (std::uint32_t b = 0; b < 24; ++b) {
+      const std::vector<FaultRecord> batch = scripted_batch(driver, 0, b);
+      ASSERT_TRUE(service.ingest(reg.tenant_id, batch).ok);
+      acked_events += batch.size();
+    }
+    // What SIGKILL leaves behind: the open file, zero tail and all.
+    std::ifstream in(path, std::ios::binary);
+    live.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    std::ofstream(copy, std::ios::binary) << live;
+  }
+  struct stat closed {};
+  ASSERT_EQ(::stat(path.c_str(), &closed), 0);
+  EXPECT_GT(live.size(), static_cast<std::size_t>(closed.st_size));
+  const SpcdService::ReplayResult replayed = SpcdService::replay(copy);
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  ASSERT_NE(replayed.service, nullptr);
+  EXPECT_FALSE(replayed.torn_tail);
+  EXPECT_EQ(replayed.service->total_events(), acked_events);
+  std::remove(copy.c_str());
+  remove_chain(path);
+}
+
 TEST(SvcGroupCommitTest, UnwritableJournalRefusesEveryCommit) {
   struct stat st {};
   if (::stat("/dev/full", &st) != 0 || !S_ISCHR(st.st_mode)) {
@@ -171,16 +207,19 @@ TEST(SvcGroupCommitTest, WriteFailureMidSessionIsFailStop) {
       ASSERT_TRUE(service.ingest(reg.tenant_id, batch).ok);
       acked_events += batch.size();
     }
-    // Cap the file size just past the current journal: the next batch
-    // record cannot be written. SIGXFSZ would kill the process instead of
-    // failing the write.
-    struct stat st {};
-    ASSERT_EQ(::stat(path.c_str(), &st), 0);
+    // Cap the file size just past the last record: the next batch record
+    // cannot be written. The kernel checks the cap against the write
+    // offset, so it holds inside the journal's zero tail too. SIGXFSZ
+    // would kill the process instead of failing the write.
+    std::ifstream in(path, std::ios::binary);
+    const std::string contents((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    const std::size_t records_end = contents.find_last_not_of('\0') + 1;
     rlimit saved{};
     ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
     const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
     rlimit capped = saved;
-    capped.rlim_cur = static_cast<rlim_t>(st.st_size) + 64;
+    capped.rlim_cur = static_cast<rlim_t>(records_end) + 64;
     ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
     const IngestResult failed =
         service.ingest(reg.tenant_id, scripted_batch(driver, 0, b++));

@@ -1,9 +1,13 @@
 // Transport contract, exercised on both wires: frames arrive whole and in
-// order, recv honors its timeout, close() wakes a blocked peer with
-// kClosed, and the Unix-socket path survives a real filesystem bind.
+// order, recv honors its timeout, a signal ends a blocked accept, close()
+// wakes a blocked peer with kClosed, and the Unix-socket path survives a
+// real filesystem bind. In the TSan CI job's target list.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -118,6 +122,37 @@ TEST(SvcTransportTest, UnixSocketRecvTimesOutWithoutData) {
   EXPECT_EQ(server->recv(&payload, 50), Transport::RecvStatus::kTimeout);
   EXPECT_GE(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(40));
+  listener->close();
+}
+
+TEST(SvcTransportTest, SignalEndsABlockedAcceptAtOnce) {
+  // The accept loop reads its stop flag only when accept() returns, so a
+  // signal (SIGTERM, in spcdd) must end the wait instead of restarting it.
+  const std::string path = tmp_socket("svc_transport_sig.sock");
+  std::string error;
+  auto listener = listen_unix(path, &error);
+  ASSERT_NE(listener, nullptr) << error;
+  struct sigaction handler {};
+  handler.sa_handler = [](int) {};
+  sigemptyset(&handler.sa_mask);
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &handler, &saved), 0);
+  const pthread_t acceptor = ::pthread_self();
+  std::atomic<bool> returned{false};
+  std::thread signaller([&] {
+    // SIGUSR1 to the accepting thread every 50 ms, for up to 1 s.
+    for (int i = 0; i < 20 && !returned.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (!returned.load()) ::pthread_kill(acceptor, SIGUSR1);
+    }
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(listener->accept(3000), nullptr);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  returned.store(true);
+  signaller.join();
+  ::sigaction(SIGUSR1, &saved, nullptr);
+  EXPECT_LT(waited, std::chrono::seconds(1));
   listener->close();
 }
 

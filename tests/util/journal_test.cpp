@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -27,6 +29,14 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << contents;
+}
+
+/// The on-disk form of one record: its frame line, payload and newline.
+std::string framed(const std::string& record) {
+  char head[64];
+  std::snprintf(head, sizeof head, "#rec %zu %016" PRIx64 "\n",
+                record.size(), fnv1a64(record));
+  return head + record + "\n";
 }
 
 class JournalTest : public ::testing::Test {
@@ -142,6 +152,90 @@ TEST_F(JournalTest, CorruptRecordStopsTheWalkWithoutThrowing) {
   ASSERT_EQ(r.records.size(), 1u);
   EXPECT_EQ(r.records[0], "aaaa");
   EXPECT_TRUE(r.torn_tail);
+}
+
+TEST_F(JournalTest, CloseLeavesExactlyTheHeaderAndFrames) {
+  const std::string p = path("closed");
+  {
+    Journal j = Journal::create(p, "meta");
+    j.append("a");
+    j.append("bc");
+  }
+  EXPECT_EQ(read_file(p),
+            "spcd-journal v1 meta\n" + framed("a") + framed("bc"));
+  {
+    Journal j = Journal::rotate(p, "meta", {"bc"});
+    j.append("d");
+  }
+  EXPECT_EQ(read_file(p),
+            "spcd-journal v1 meta\n" + framed("bc") + framed("d"));
+}
+
+TEST_F(JournalTest, SyncedButUnclosedJournalEndsInZerosAndLoadsClean) {
+  const std::string p = path("open");
+  const std::string copy = path("open_copy");
+  Journal j = Journal::create(p, "meta");
+  ASSERT_TRUE(j.append("one"));
+  ASSERT_TRUE(j.append("two"));
+  // What SIGKILL leaves behind: the open file, zero tail and all.
+  const std::string contents = read_file(p);
+  write_file(copy, contents);
+  const std::string records =
+      "spcd-journal v1 meta\n" + framed("one") + framed("two");
+  ASSERT_GT(contents.size(), records.size());
+  EXPECT_EQ(contents.substr(0, records.size()), records);
+  EXPECT_EQ(contents.find_first_not_of('\0', records.size()),
+            std::string::npos);
+  const Journal::LoadResult r = Journal::load(copy);
+  ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.records, (std::vector<std::string>{"one", "two"}));
+  EXPECT_FALSE(r.torn_tail);
+}
+
+TEST_F(JournalTest, PartialFrameBeforeZerosIsATornTail) {
+  const std::string p = path("partial");
+  {
+    Journal j = Journal::create(p, "meta");
+    j.append("kept");
+    j.append("lost record");
+  }
+  const std::string full = read_file(p);
+  const std::string zeros(4096, '\0');
+  // A crash mid-write inside the zero tail: any nonempty piece of the
+  // second frame, then zeros.
+  for (std::size_t cut = 1; cut < framed("lost record").size(); ++cut) {
+    write_file(p, full.substr(0, full.size() - cut) + zeros);
+    const Journal::LoadResult r = Journal::load(p);
+    EXPECT_EQ(r.records, std::vector<std::string>{"kept"}) << "cut " << cut;
+    EXPECT_TRUE(r.torn_tail) << "cut " << cut;
+  }
+}
+
+TEST_F(JournalTest, RecordsAcrossSeveralTailExtensionsRoundTrip) {
+  const std::string p = path("large");
+  // 6.4 MiB of 100 KiB records crosses every step of the tail's growth,
+  // and a 5 MiB record is larger than the largest step.
+  std::vector<std::string> records;
+  for (int i = 0; i < 64; ++i) {
+    records.emplace_back(100 << 10, static_cast<char>('a' + i % 26));
+  }
+  records.emplace_back(5 << 20, 'z');
+  const std::size_t header = std::string("spcd-journal v1 meta\n").size();
+  std::uint64_t bytes = 0;
+  {
+    Journal j = Journal::create(p, "meta");
+    for (const std::string& record : records) ASSERT_TRUE(j.write(record));
+    ASSERT_TRUE(j.sync());
+    bytes = j.bytes_written();
+    EXPECT_GT(read_file(p).size(), header + bytes);
+    const Journal::LoadResult open = Journal::load(p);
+    EXPECT_EQ(open.records, records);
+    EXPECT_FALSE(open.torn_tail);
+  }
+  EXPECT_EQ(read_file(p).size(), header + bytes);
+  const Journal::LoadResult r = Journal::load(p);
+  EXPECT_EQ(r.records, records);
+  EXPECT_FALSE(r.torn_tail);
 }
 
 TEST_F(JournalTest, GarbageFilesLoadInvalidWithoutThrowing) {
